@@ -71,10 +71,10 @@
 //!
 //! Observability (see `docs/OBSERVABILITY.md`): every sweep / perf /
 //! perf-history / trace / fuzz / gap invocation appends a structured
-//! JSONL run record under `target/experiments/runs/`, and the sweep
-//! scheduler renders a live stderr progress line on a terminal
-//! (`--quiet` or `MS_NO_PROGRESS` turn it off; artifacts are identical
-//! either way):
+//! JSONL run record under `<out>/runs/` (`target/experiments/runs/` by
+//! default; `MS_RUNS_DIR` overrides), and the sweep scheduler renders a
+//! live stderr progress line on a terminal (`--quiet` or
+//! `MS_NO_PROGRESS` turn it off; artifacts are identical either way):
 //!
 //! ```text
 //! cargo run -p ms-bench --release --bin run -- runs --last 10
@@ -102,7 +102,7 @@ use ms_bench::servecmd::{self, ServeOptions};
 use ms_bench::sweeps::{run_sweep, SweepSpec, SWEEP_NAMES};
 use ms_bench::tracecmd::trace_selection;
 use ms_bench::{run_selection, BenchError, DEFAULT_TRACE_INSTS};
-use ms_conform::{CheckEngine, FuzzParams};
+use ms_conform::FuzzParams;
 use ms_ir::Program;
 use ms_prof::jsonv::Value;
 use ms_prof::ledger::{ProgressSink, ProgressSnapshot, RunLedger, RunMeta};
@@ -149,7 +149,7 @@ fn open_ledger(cmd: &str, flags: &Flags) -> Option<RunLedger> {
         git: perfcmd::git_short(),
         params: run_params(flags),
     };
-    match RunLedger::open(&runscmd::runs_dir(), &meta) {
+    match RunLedger::open(&runscmd::runs_dir(&flags.out), &meta) {
         Ok(l) => Some(l),
         Err(e) => {
             eprintln!("warning: run ledger disabled: {e}");
@@ -220,16 +220,10 @@ fn unknown_benchmark(name: &str) -> i32 {
 /// `run -- fuzz`: the differential conformance fuzz loop (see
 /// `docs/CONFORMANCE.md`), minimal repros written under `<out>/fuzz/`.
 fn run_fuzz(flags: &Flags, led: &mut Option<RunLedger>) -> i32 {
-    let engine = match flags.engine {
-        cli::EngineChoice::Batch => CheckEngine::Batch,
-        cli::EngineChoice::Scalar => CheckEngine::Scalar,
-        cli::EngineChoice::Both => CheckEngine::Both,
-    };
     let params = FuzzParams {
         max_blocks: flags.max_blocks,
         insts: flags.insts.unwrap_or(FuzzParams::default().insts),
         inject: flags.inject,
-        engine,
     };
     let report = fuzzcmd::run_fuzz(flags.seeds, flags.seed, &params, flags.jobs, &flags.out);
     for (path, body) in &report.artifacts {
@@ -357,10 +351,6 @@ fn run_sweeps(
     led: &mut Option<RunLedger>,
 ) -> (i32, ProgressSnapshot) {
     let sink = ProgressSink::new(flags.jobs.max(1));
-    let Some(engine) = flags.engine.sweep_engine() else {
-        eprintln!("error: --engine both is only meaningful to `run -- fuzz`");
-        return (2, sink.snapshot());
-    };
     let label = if specs.len() == 1 { specs[0].name() } else { "sweeps" };
     let line = ProgressLine::stderr(label, flags.quiet);
     let tick = || line.tick(&sink);
@@ -383,7 +373,7 @@ fn run_sweeps(
         if i > 0 {
             println!();
         }
-        match run_sweep(*spec, flags.jobs, &flags.out, &obs, engine) {
+        match run_sweep(*spec, flags.jobs, &flags.out, &obs) {
             Ok(report) => {
                 line.finish();
                 print!("{}", report.text);
@@ -432,13 +422,9 @@ fn run_perf(flags: &Flags, led: &mut Option<RunLedger>) -> i32 {
 }
 
 fn perf_inner(flags: &Flags, led: &mut Option<RunLedger>) -> Result<i32, String> {
-    let Some(engine) = flags.engine.sweep_engine() else {
-        return Err("--engine both is only meaningful to `run -- fuzz`".to_string());
-    };
     let opts = PerfOptions {
         reps: flags.reps,
         insts: flags.insts.unwrap_or(PerfOptions::default().insts),
-        engine,
     };
     let doc = perfcmd::run_perf(&opts);
     print!("{}", doc.summary);
@@ -688,7 +674,7 @@ fn run_serve(flags: &Flags) -> i32 {
         jobs: flags.jobs,
         out: flags.out.clone(),
         cache_dir: flags.cache_dir.clone().unwrap_or_else(|| flags.out.join("cellcache")),
-        runs_dir: runscmd::runs_dir(),
+        runs_dir: runscmd::runs_dir(&flags.out),
         quiet: flags.quiet,
     };
     let socket = opts.socket.clone();
@@ -751,7 +737,7 @@ fn run_submit(positionals: &[String], flags: &Flags) -> i32 {
 
 /// `run -- runs [show <id>]`: query the run ledger.
 fn run_runs(positionals: &[String], flags: &Flags) -> i32 {
-    let dir = runscmd::runs_dir();
+    let dir = runscmd::runs_dir(&flags.out);
     match positionals.get(1).map(String::as_str) {
         None => {
             print!("{}", runscmd::list_runs(&dir, flags.last, flags.cmd_filter.as_deref()));
@@ -861,7 +847,7 @@ fn real_main() -> i32 {
         "runs" => run_runs(&positionals, &flags),
         "runs-validate" => {
             let (text, code) = runscmd::validate_runs(
-                &runscmd::runs_dir(),
+                &runscmd::runs_dir(&flags.out),
                 positionals.get(1).map(String::as_str),
             );
             print!("{text}");

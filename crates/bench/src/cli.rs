@@ -18,43 +18,6 @@ use crate::perfcmd::{DEFAULT_MAX_REGRESS_PCT, DEFAULT_NOISE_FLOOR_NS, DEFAULT_PE
 use crate::sweeps::SWEEP_NAMES;
 use crate::Heuristic;
 
-/// The `--engine` vocabulary: one of the two execution engines, or —
-/// meaningful to `fuzz` only — the differential `both` mode that runs
-/// every check against each engine and diffs their statistics.
-/// Sweeps and perf convert to [`crate::sweeps::Engine`] via
-/// [`EngineChoice::sweep_engine`]; `both` is a usage error there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineChoice {
-    /// The batched shared-image engine (the default everywhere).
-    #[default]
-    Batch,
-    /// The scalar one-cell-one-simulator engine.
-    Scalar,
-    /// Fuzz only: run scalar and batch differentially.
-    Both,
-}
-
-impl EngineChoice {
-    /// The choice's CLI spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineChoice::Batch => "batch",
-            EngineChoice::Scalar => "scalar",
-            EngineChoice::Both => "both",
-        }
-    }
-
-    /// The sweep/perf engine this choice names, or `None` for `both`
-    /// (which only the differential fuzz loop understands).
-    pub fn sweep_engine(self) -> Option<crate::sweeps::Engine> {
-        match self {
-            EngineChoice::Batch => Some(crate::sweeps::Engine::Batch),
-            EngineChoice::Scalar => Some(crate::sweeps::Engine::Scalar),
-            EngineChoice::Both => None,
-        }
-    }
-}
-
 /// Every flag any `run` subcommand accepts, with its default. Flags
 /// meaningless to a given subcommand are accepted and ignored (so
 /// wrapper scripts can pass one flag set everywhere).
@@ -120,10 +83,6 @@ pub struct Flags {
     /// `--quiet`: suppress the live stderr progress line (equivalent to
     /// setting `MS_NO_PROGRESS`; artifacts are identical either way).
     pub quiet: bool,
-    /// `--engine batch|scalar|both`: the execution engine for sweeps,
-    /// perf and fuzz (`both` is the fuzz loop's differential mode;
-    /// artifacts are byte-identical across engines).
-    pub engine: EngineChoice,
     /// `--last N`: how many records `runs` lists (default 20).
     pub last: usize,
     /// `--cmd NAME`: filter `runs` to one subcommand's records.
@@ -166,7 +125,6 @@ impl Default for Flags {
             oracle_max_blocks: ms_tasksel::DEFAULT_ORACLE_MAX_BLOCKS,
             no_gate: false,
             quiet: false,
-            engine: EngineChoice::default(),
             last: 20,
             cmd_filter: None,
             socket: None,
@@ -292,27 +250,6 @@ pub static FLAGS: &[FlagSpec] = &[
         help: "no live progress line (MS_NO_PROGRESS=1 equivalent)",
         default: None,
         apply: Apply::Switch(|f| f.quiet = true),
-    },
-    FlagSpec {
-        name: "--engine",
-        metavar: Some("NAME"),
-        group: FlagGroup::Shared,
-        help: "execution engine: batch|scalar (fuzz also: both, differential)",
-        default: Some(|| EngineChoice::default().label().to_string()),
-        apply: Apply::Value(|f, v| {
-            f.engine = match v.as_str() {
-                "batch" => EngineChoice::Batch,
-                "scalar" => EngineChoice::Scalar,
-                "both" => EngineChoice::Both,
-                other => {
-                    let hint = closest(other, &["batch", "scalar", "both"])
-                        .map(|s| format!(" (did you mean `{s}`?)"))
-                        .unwrap_or_default();
-                    return Err(BenchError::Usage(format!("unknown engine `{other}`{hint}")));
-                }
-            };
-            Ok(())
-        }),
     },
     FlagSpec {
         name: "--strategy",
@@ -747,7 +684,7 @@ pub static SUBCOMMANDS: &[SubcommandSpec] = &[
         about: &[
             "list recorded runs, newest first (sweep/perf/perf-history/",
             "trace/fuzz/gap/serve invocations leave JSONL records under",
-            "target/experiments/runs/); `show` replays one record",
+            "<out>/runs/); `show` replays one record",
         ],
         schema: Some(SchemaRef::Ledger),
     },

@@ -63,10 +63,9 @@ pub fn run_fuzz(
     }
     if failures.is_empty() {
         text.push_str(&format!(
-            "fuzz: {seeds} seed(s) x {} policies conform on engine `{}` \
+            "fuzz: {seeds} seed(s) x {} policies conform \
              (base seed {base_seed:#x}, max {} blocks, {} insts/run)\n",
             ms_conform::strategies().len(),
-            params.engine.label(),
             params.max_blocks,
             params.insts
         ));
@@ -108,12 +107,7 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_sweeps_agree() {
-        let params = FuzzParams {
-            max_blocks: 8,
-            insts: 1_000,
-            inject: true,
-            engine: ms_conform::CheckEngine::Both,
-        };
+        let params = FuzzParams { max_blocks: 8, insts: 1_000, inject: true };
         let serial = run_fuzz(6, 1, &params, 1, Path::new("x"));
         let parallel = run_fuzz(6, 1, &params, 4, Path::new("x"));
         let key = |r: &FuzzReport| -> Vec<(u64, &'static str, usize)> {

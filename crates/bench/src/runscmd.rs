@@ -15,13 +15,12 @@ use ms_prof::ledger::{self, RunRecord};
 use crate::perfcmd::fmt_ns;
 
 /// Where run records live: `MS_RUNS_DIR` if set (tests isolate
-/// themselves with it), else `target/experiments/runs` relative to the
-/// working directory — deliberately independent of `--out`, so one
-/// ledger spans every invocation.
-pub fn runs_dir() -> PathBuf {
+/// themselves with it), else `<out>/runs` — with the default `--out`,
+/// `target/experiments/runs`.
+pub fn runs_dir(out: &Path) -> PathBuf {
     match std::env::var_os("MS_RUNS_DIR") {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => PathBuf::from("target/experiments/runs"),
+        _ => out.join("runs"),
     }
 }
 

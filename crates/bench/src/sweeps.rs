@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 
 use ms_analysis::ProgramContext;
 use ms_ir::Program;
-use ms_sim::{BatchEngine, ProgramImage, SimConfig, SimStats, Simulator};
+use ms_sim::{BatchEngine, ProgramImage, SimConfig, SimStats};
 use ms_tasksel::{if_convert, PartitionStats, SelectorBuilder, Strategy, TaskSizeParams};
 use ms_trace::TraceGenerator;
 use ms_workloads::{by_name, fp_suite, integer_suite};
@@ -132,32 +132,6 @@ impl SweepSpec {
     }
 }
 
-/// Which execution engine a sweep drives its cells through. Artifacts
-/// are byte-identical either way — the batch engine's statistics are
-/// bit-identical to the scalar `Simulator`'s (pinned by
-/// `tests/engine_identity.rs` and `run -- fuzz --engine both`) — so the
-/// choice is purely a throughput knob and the content-addressed cell
-/// cache needs no engine component in its keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// [`BatchEngine`]: cells sharing a (program, partition, trace)
-    /// triple are decoded once and advanced together (the default).
-    #[default]
-    Batch,
-    /// One scalar [`Simulator`] per cell (the historical path).
-    Scalar,
-}
-
-impl Engine {
-    /// The engine's CLI spelling (`--engine batch|scalar`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Batch => "batch",
-            Engine::Scalar => "scalar",
-        }
-    }
-}
-
 /// A complete description of one experiment cell. Running the same
 /// `CellJob` twice produces identical statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,7 +216,7 @@ impl CellJob {
 
     /// The machine configuration the cell simulates — the single point
     /// where cell parameters become a [`SimConfig`], shared by the
-    /// simulation itself ([`CellJob::run_in`]) and the cache key.
+    /// simulation itself ([`CellJob::run`]) and the cache key.
     pub fn sim_config(&self) -> SimConfig {
         let mut cfg = SimConfig::with_pus(self.pus);
         if self.in_order {
@@ -264,53 +238,16 @@ impl CellJob {
     }
 
     /// Runs the cell standalone: build → (if-convert) → select → trace →
-    /// simulate. Equivalent to `run_in(&self.context())`.
+    /// simulate. A sweep runs the same path over a group of cells (see
+    /// [`run_sweep`]); this is a group of one.
     pub fn run(&self) -> CellOutput {
-        self.run_in(&self.context())
-    }
-
-    /// Runs the cell against an existing analysis context for its
-    /// pre-selection program (see [`CellJob::context`]), so cells
-    /// sharing a program also share its analyses. Statistics are
-    /// identical to [`CellJob::run`]'s — the context only caches values
-    /// a fresh computation would also produce.
-    pub fn run_in(&self, ctx: &ProgramContext) -> CellOutput {
-        let selector = match self.ts_thresh {
-            Some(t) => SelectorBuilder::new(Strategy::DataDependence)
-                .max_targets(self.targets)
-                .task_size(TaskSizeParams { call_thresh: t, loop_thresh: t as usize })
-                .build(),
-            None => self.heuristic.selector(self.targets),
-        };
-        let sel = selector.select(ctx);
-        let partition = PartitionStats::compute(
-            &sel.program,
-            &sel.partition,
-            sel.context().profile(),
-            self.targets,
-        );
-        let cfg = self.sim_config();
-        let trace = TraceGenerator::new(&sel.program, self.seed).generate(self.insts);
-        let sim = Simulator::new(cfg, &sel.program, &sel.partition).run(&trace);
-        CellOutput { sim, partition }
-    }
-
-    /// Runs the cell through the chosen [`Engine`]; output is identical
-    /// to [`CellJob::run`] either way.
-    pub fn run_engine(&self, engine: Engine) -> CellOutput {
-        match engine {
-            Engine::Scalar => self.run(),
-            Engine::Batch => {
-                let ctx = self.context();
-                CellJob::run_batch(&[self], &ctx).pop().expect("one cell in, one out")
-            }
-        }
+        let ctx = self.context();
+        CellJob::run_group(&[self], &ctx).pop().expect("one cell in, one out")
     }
 
     /// The fields that determine a cell's selection, partition
     /// statistics and trace — everything but the machine configuration.
-    /// Cells with equal batch keys can share one decoded
-    /// [`ProgramImage`] in a [`BatchEngine`] pass.
+    /// Cells with equal keys share one decoded [`ProgramImage`].
     fn batch_key(
         &self,
     ) -> (&'static str, Option<usize>, Heuristic, usize, Option<u64>, usize, u64) {
@@ -325,16 +262,18 @@ impl CellJob {
         )
     }
 
-    /// Runs a group of cells sharing one [`CellJob::batch_key`] through
-    /// the [`BatchEngine`]: select, partition statistics, trace and
-    /// decode once, then one engine cell per machine configuration.
-    /// Outputs are in input order and bit-identical to
-    /// [`CellJob::run_in`] on each cell.
-    fn run_batch(cells: &[&CellJob], ctx: &ProgramContext) -> Vec<CellOutput> {
+    /// Runs a group of cells sharing one [`CellJob::batch_key`] against
+    /// the analysis context of their pre-selection program: select,
+    /// partition statistics, trace and decode once, then one engine
+    /// cell per machine configuration, one after another. Outputs are
+    /// in input order. The context only caches values a fresh
+    /// computation would also produce, so a shared context gives the
+    /// same outputs as a fresh one.
+    fn run_group(cells: &[&CellJob], ctx: &ProgramContext) -> Vec<CellOutput> {
         let lead = cells[0];
         debug_assert!(
             cells.iter().all(|c| c.batch_key() == lead.batch_key()),
-            "batch groups share selection, partition and trace"
+            "groups share selection, partition and trace"
         );
         let selector = match lead.ts_thresh {
             Some(t) => SelectorBuilder::new(Strategy::DataDependence)
@@ -445,17 +384,16 @@ pub fn run_sweep(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     match spec {
-        SweepSpec::Figure5 => figure5(jobs, out_root, obs, engine),
-        SweepSpec::Table1 => table1(jobs, out_root, obs, engine),
-        SweepSpec::Targets => targets(jobs, out_root, obs, engine),
-        SweepSpec::Thresholds => thresholds(jobs, out_root, obs, engine),
-        SweepSpec::Pus => pus(jobs, out_root, obs, engine),
-        SweepSpec::Forwarding => forwarding(jobs, out_root, obs, engine),
-        SweepSpec::Predication => predication(jobs, out_root, obs, engine),
-        SweepSpec::Hardware => hardware(jobs, out_root, obs, engine),
+        SweepSpec::Figure5 => figure5(jobs, out_root, obs),
+        SweepSpec::Table1 => table1(jobs, out_root, obs),
+        SweepSpec::Targets => targets(jobs, out_root, obs),
+        SweepSpec::Thresholds => thresholds(jobs, out_root, obs),
+        SweepSpec::Pus => pus(jobs, out_root, obs),
+        SweepSpec::Forwarding => forwarding(jobs, out_root, obs),
+        SweepSpec::Predication => predication(jobs, out_root, obs),
+        SweepSpec::Hardware => hardware(jobs, out_root, obs),
     }
 }
 
@@ -465,9 +403,7 @@ enum SweepWork {
     /// Stage 1 — build + analyse one distinct pre-selection program.
     Warm(usize),
     /// Stage 2 — simulate a group of grid cells (indices into the
-    /// grid) sharing one [`CellJob::batch_key`]. The scalar engine
-    /// runs singleton groups; the batch engine runs one decoded image
-    /// per group.
+    /// grid) sharing one [`CellJob::batch_key`] over one decoded image.
     Group(Vec<usize>),
 }
 
@@ -498,7 +434,6 @@ fn run_cells(
     grid: Vec<(String, CellJob)>,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<Vec<(String, CellJob, CellOutput)>, BenchError> {
     obs.sink.add_queued(grid.len() as u64);
     // Stage 0 — probe the content-addressed cache (coordinator only;
@@ -563,22 +498,15 @@ fn run_cells(
             ctx
         })
     };
-    // Group the misses: under the batch engine, cells sharing one
-    // batch key (same selection, partition and trace; only the machine
-    // configuration differs) become one work item over one decoded
-    // image. The scalar engine runs singleton groups — the historical
-    // one-cell-one-simulator path.
+    // Group the misses: cells sharing one batch key (same selection,
+    // partition and trace; only the machine configuration differs)
+    // become one work item over one decoded image.
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    match engine {
-        Engine::Scalar => groups.extend(misses.iter().map(|&i| vec![i])),
-        Engine::Batch => {
-            for &i in &misses {
-                let key = grid[i].1.batch_key();
-                match groups.iter_mut().find(|g| grid[g[0]].1.batch_key() == key) {
-                    Some(g) => g.push(i),
-                    None => groups.push(vec![i]),
-                }
-            }
+    for &i in &misses {
+        let key = grid[i].1.batch_key();
+        match groups.iter_mut().find(|g| grid[g[0]].1.batch_key() == key) {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
         }
     }
     let work: Vec<SweepWork> = (0..keys.len())
@@ -607,10 +535,7 @@ fn run_cells(
                     }
                 }
                 let ctx = ctx_of(ki);
-                let outs = match engine {
-                    Engine::Scalar => jobs.iter().map(|j| j.run_in(ctx)).collect(),
-                    Engine::Batch => CellJob::run_batch(&jobs, ctx),
-                };
+                let outs = CellJob::run_group(&jobs, ctx);
                 for _ in cells {
                     obs.sink.cell_finished();
                 }
@@ -677,12 +602,7 @@ fn responds_to_task_size(name: &str) -> bool {
 
 // ---------------------------------------------------------------- sweeps
 
-fn figure5(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn figure5(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let mut grid = Vec::new();
     for in_order in [false, true] {
@@ -713,7 +633,7 @@ fn figure5(
         }
     }
     let cells = grid.len();
-    let results = run_cells("figure5", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("figure5", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Figure 5 — impact of the compiler heuristics on the SPEC95-shaped suite")
@@ -782,12 +702,7 @@ fn figure5(
     Ok(report)
 }
 
-fn table1(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn table1(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let mut grid = Vec::new();
     for w in ms_workloads::suite() {
@@ -798,7 +713,7 @@ fn table1(
         }
     }
     let cells = grid.len();
-    let results = run_cells("table1", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("table1", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(
@@ -864,12 +779,7 @@ fn table1(
     Ok(report)
 }
 
-fn targets(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn targets(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["go", "m88ksim", "perl", "hydro2d", "applu"];
     let ns = [2usize, 4, 6, 8];
@@ -882,7 +792,7 @@ fn targets(
         }
     }
     let cells = grid.len();
-    let results = run_cells("targets", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("targets", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: control-flow heuristic target limit N (4 PUs, out-of-order)")
@@ -908,7 +818,6 @@ fn thresholds(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["compress", "fpppp"];
@@ -927,7 +836,7 @@ fn thresholds(
         }
     }
     let cells = grid.len();
-    let results = run_cells("thresholds", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("thresholds", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: CALL_THRESH / LOOP_THRESH sweep (dd tasks + task size, 8 PUs)")
@@ -956,12 +865,7 @@ fn thresholds(
     Ok(report)
 }
 
-fn pus(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn pus(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["m88ksim", "perl", "tomcatv", "applu", "wave5"];
     let counts = [1usize, 2, 4, 8, 16];
@@ -975,7 +879,7 @@ fn pus(
         }
     }
     let cells = grid.len();
-    let results = run_cells("pus", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("pus", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: PU count sweep (data dependence tasks, out-of-order)").unwrap();
@@ -1002,7 +906,6 @@ fn forwarding(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["m88ksim", "perl", "tomcatv", "applu", "wave5", "go"];
@@ -1018,7 +921,7 @@ fn forwarding(
         ));
     }
     let cells = grid.len();
-    let results = run_cells("forwarding", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("forwarding", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: dead register analysis for ring forwards (dd tasks, 8 PUs)").unwrap();
@@ -1054,7 +957,6 @@ fn predication(
     jobs: usize,
     out_root: &Path,
     obs: &SweepObserver,
-    engine: Engine,
 ) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let benches = ["go", "gcc", "li", "perl", "vortex", "hydro2d"];
@@ -1070,7 +972,7 @@ fn predication(
         }
     }
     let cells = grid.len();
-    let results = run_cells("predication", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("predication", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: if-conversion before task selection (cf tasks, 4 PUs)").unwrap();
@@ -1105,12 +1007,7 @@ fn predication(
     Ok(report)
 }
 
-fn hardware(
-    jobs: usize,
-    out_root: &Path,
-    obs: &SweepObserver,
-    engine: Engine,
-) -> Result<SweepReport, BenchError> {
+fn hardware(jobs: usize, out_root: &Path, obs: &SweepObserver) -> Result<SweepReport, BenchError> {
     use std::fmt::Write as _;
     let bw_benches = ["m88ksim", "go", "applu", "wave5"];
     let bws = [1u32, 2, 4, 8];
@@ -1157,7 +1054,7 @@ fn hardware(
         }
     }
     let cells = grid.len();
-    let results = run_cells("hardware", jobs, grid, out_root, obs, engine)?;
+    let results = run_cells("hardware", jobs, grid, out_root, obs)?;
 
     let mut text = String::new();
     writeln!(text, "Ablation: ring bandwidth (values/cycle/link, paper: 2), 8 PUs, IPC").unwrap();
@@ -1237,14 +1134,113 @@ mod tests {
         }
     }
 
+    /// Every (benchmark, heuristic, threshold) shape the grids use, run
+    /// against one shared warmed context per benchmark — as a sweep
+    /// runs them — must give JSON byte-identical to a standalone run:
+    /// the context may only serve values a fresh computation would also
+    /// have produced.
     #[test]
-    fn run_in_shared_context_matches_standalone_run() {
-        let cf = CellJob { insts: 2_000, ..CellJob::new("compress", Heuristic::ControlFlow) };
-        let dd = CellJob { insts: 2_000, ..CellJob::new("compress", Heuristic::DataDependence) };
-        let shared = cf.context();
-        assert_eq!(cf.run_in(&shared), cf.run());
-        assert_eq!(dd.run_in(&shared), dd.run());
-        assert!(shared.cache_stats().hits > 0, "second cell reuses cached analyses");
+    fn shared_context_groups_match_standalone_runs() {
+        for bench in ["compress", "li", "tomcatv"] {
+            let ctx = CellJob::new(bench, Heuristic::BasicBlock).context();
+            ctx.warm(true);
+            let jobs = [
+                CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::BasicBlock) },
+                CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::ControlFlow) },
+                CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::DataDependence) },
+                CellJob {
+                    insts: 4_000,
+                    ts_thresh: Some(12.0),
+                    ..CellJob::new(bench, Heuristic::DataDependence)
+                },
+            ];
+            for (i, job) in jobs.iter().enumerate() {
+                let shared = CellJob::run_group(&[job], &ctx).pop().unwrap();
+                assert_eq!(
+                    cell_json("equiv", "cell", job, &shared),
+                    cell_json("equiv", "cell", job, &job.run()),
+                    "{bench} cell {i}: shared-context run diverged from standalone run"
+                );
+            }
+            assert!(ctx.cache_stats().hits > 0, "{bench}: shared context was never hit");
+        }
+    }
+
+    /// Runs `grid` through the sweep scheduler (cells grouped by batch
+    /// key, two workers) and checks every cell's artifact against the
+    /// same cell run alone through [`CellJob::run`]. Returns the grouped
+    /// outputs in grid order.
+    fn assert_grouped_cells_match_cells_run_alone(
+        sweep: &'static str,
+        grid: Vec<(String, CellJob)>,
+    ) -> Vec<CellOutput> {
+        let root = std::env::temp_dir().join(format!("ms-bench-{sweep}-{}", std::process::id()));
+        let results =
+            run_cells(sweep, 2, grid, &root, &SweepObserver::silent()).expect("grid runs");
+        std::fs::remove_dir_all(&root).ok();
+        results
+            .into_iter()
+            .map(|(id, job, grouped)| {
+                assert_eq!(
+                    cell_json(sweep, &id, &job, &grouped),
+                    cell_json(sweep, &id, &job, &job.run()),
+                    "{id}: grouped cell diverged from the cell run alone"
+                );
+                grouped
+            })
+            .collect()
+    }
+
+    /// The Figure 5 shape: each (benchmark, heuristic) partition on four
+    /// machines (4/8 PUs, out-of-order/in-order) forms one group over one
+    /// decoded image, and no cell of a group may differ from its run
+    /// alone.
+    #[test]
+    fn grouped_figure5_cells_match_cells_run_alone() {
+        use Heuristic::{BasicBlock, ControlFlow, DataDependence, TaskSize};
+        let mut grid = Vec::new();
+        for (bench, heuristics) in [
+            ("compress", &[BasicBlock, ControlFlow, DataDependence, TaskSize][..]),
+            ("tomcatv", &[BasicBlock, ControlFlow, DataDependence][..]),
+        ] {
+            for &h in heuristics {
+                for in_order in [false, true] {
+                    for pus in [4usize, 8] {
+                        let io = if in_order { "io" } else { "ooo" };
+                        grid.push((
+                            format!("{bench}-{}-{pus}pu-{io}", h.label()),
+                            CellJob { pus, in_order, insts: 4_000, ..CellJob::new(bench, h) },
+                        ));
+                    }
+                }
+            }
+        }
+        assert_grouped_cells_match_cells_run_alone("unit-fig5", grid);
+    }
+
+    /// An if-converted cell builds a *different* program, so inside a
+    /// sweep it must not share the unconverted benchmark's context or
+    /// image: the predication shape (plain, arms<=4, arms<=8) on two
+    /// machines each matches the cells run alone, and if-conversion
+    /// changes the simulated outcome.
+    #[test]
+    fn if_converted_cells_use_their_own_context() {
+        let mut grid = Vec::new();
+        for (tag, arms) in [("plain", None), ("arms4", Some(4)), ("arms8", Some(8))] {
+            for pus in [4usize, 8] {
+                grid.push((
+                    format!("perl-{tag}-{pus}pu"),
+                    CellJob {
+                        pus,
+                        insts: 4_000,
+                        if_convert_arms: arms,
+                        ..CellJob::new("perl", Heuristic::ControlFlow)
+                    },
+                ));
+            }
+        }
+        let outs = assert_grouped_cells_match_cells_run_alone("unit-pred", grid);
+        assert_ne!(outs[0].sim, outs[4].sim, "if-conversion must change the simulated outcome");
     }
 
     #[test]

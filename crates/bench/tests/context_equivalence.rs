@@ -1,57 +1,13 @@
-//! The shared-context contract of the pipelined sweep scheduler: a cell
-//! run against a warmed, shared [`ProgramContext`] must produce JSON
-//! byte-identical to a from-scratch standalone run — the cache may only
-//! ever serve values a fresh computation would also have produced — and
-//! a whole sweep's artifacts must not depend on `--jobs`.
+//! The sharing contract of the sweep scheduler at the artifact level:
+//! a sweep shares one analysis context per program and one decoded
+//! image per group of cells that differ only in machine configuration,
+//! and a whole sweep's artifacts must not depend on `--jobs`. (That
+//! each grouped cell equals the cell run alone is checked on small
+//! Figure 5- and predication-shaped grids by the unit tests in
+//! `sweeps.rs`, which can choose the grid.)
 
-use ms_analysis::ProgramContext;
 use ms_bench::progress::SweepObserver;
-use ms_bench::sweeps::{cell_json, run_sweep, CellJob, Engine, SweepSpec};
-use ms_bench::Heuristic;
-
-/// Every (benchmark, heuristic, threshold) shape the grids use, run both
-/// ways: standalone (cold per-cell context, the pre-scheduler behavior)
-/// and against one shared warmed context per benchmark.
-#[test]
-fn shared_context_cells_match_standalone_cells_byte_for_byte() {
-    for bench in ["compress", "li", "tomcatv"] {
-        let ctx = CellJob::new(bench, Heuristic::BasicBlock).context();
-        ctx.warm(true);
-        let jobs = [
-            CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::BasicBlock) },
-            CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::ControlFlow) },
-            CellJob { insts: 4_000, ..CellJob::new(bench, Heuristic::DataDependence) },
-            CellJob {
-                insts: 4_000,
-                ts_thresh: Some(12.0),
-                ..CellJob::new(bench, Heuristic::DataDependence)
-            },
-        ];
-        for (i, job) in jobs.iter().enumerate() {
-            let fresh = cell_json("equiv", &format!("cell-{i}"), job, &job.run());
-            let shared = cell_json("equiv", &format!("cell-{i}"), job, &job.run_in(&ctx));
-            assert_eq!(
-                fresh, shared,
-                "{bench} cell {i}: shared-context run diverged from standalone run"
-            );
-        }
-        assert!(ctx.cache_stats().hits > 0, "{bench}: shared context was never actually hit");
-    }
-}
-
-/// An if-converted cell builds a *different* program, so it must not be
-/// served from the unconverted benchmark's context; its standalone run
-/// stays the reference.
-#[test]
-fn if_converted_cells_use_their_own_context() {
-    let plain = CellJob { insts: 4_000, ..CellJob::new("compress", Heuristic::ControlFlow) };
-    let conv = CellJob { if_convert_arms: Some(8), ..plain.clone() };
-    let plain_out = cell_json("equiv", "plain", &plain, &plain.run());
-    let conv_out = cell_json("equiv", "conv", &conv, &conv.run_in(&conv.context()));
-    assert_ne!(plain_out, conv_out, "if-conversion must change the artifact");
-    // And the shared-context path agrees with the standalone path.
-    assert_eq!(conv_out, cell_json("equiv", "conv", &conv, &conv.run()));
-}
+use ms_bench::sweeps::{run_sweep, SweepSpec};
 
 /// One real sweep, run end-to-end at `--jobs 1` and `--jobs 4`: every
 /// artifact file must be bit-identical.
@@ -59,9 +15,8 @@ fn if_converted_cells_use_their_own_context() {
 fn sweep_artifacts_are_bit_identical_across_jobs() {
     let root1 = tempdir("ctx-equiv-j1");
     let root4 = tempdir("ctx-equiv-j4");
-    run_sweep(SweepSpec::Targets, 1, &root1, &SweepObserver::silent(), Engine::default())
-        .expect("serial sweep runs");
-    run_sweep(SweepSpec::Targets, 4, &root4, &SweepObserver::silent(), Engine::default())
+    run_sweep(SweepSpec::Targets, 1, &root1, &SweepObserver::silent()).expect("serial sweep runs");
+    run_sweep(SweepSpec::Targets, 4, &root4, &SweepObserver::silent())
         .expect("parallel sweep runs");
 
     let files1 = artifact_files(&root1);

@@ -132,6 +132,31 @@ fn sweep_leaves_a_validating_record_the_listing_finds() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
+/// Without `MS_RUNS_DIR`, records follow `--out`: a sweep run with
+/// `--out D` writes its record under `D/runs/`, where `runs-validate
+/// --out D` finds it.
+#[test]
+fn records_go_under_out_without_ms_runs_dir() {
+    let out = tmp_dir("follow-out");
+    let out_arg = out.to_str().unwrap();
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_run"))
+            .env_remove("MS_RUNS_DIR")
+            .args(args)
+            .output()
+            .expect("spawn run binary")
+    };
+    let sweep = run(&["forwarding", "--jobs", "2", "--quiet", "--out", out_arg]);
+    assert!(sweep.status.success(), "{}", String::from_utf8_lossy(&sweep.stderr));
+    let records = runscmd::record_files(&out.join("runs"));
+    assert_eq!(records.len(), 1, "one record under <out>/runs: {records:?}");
+    let text = std::fs::read_to_string(&records[0]).unwrap();
+    assert_eq!(ms_prof::ledger::validate_record(&text).unwrap().cells, 12);
+    let validate = run(&["runs-validate", "--out", out_arg]);
+    assert!(validate.status.success(), "{}", String::from_utf8_lossy(&validate.stdout));
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 /// The determinism contract: `--jobs 1` and `--jobs 8` must emit the
 /// same event lines (scheduling order may differ internally, but
 /// events are recorded on the coordinator in grid order) and

@@ -16,7 +16,7 @@ use ms_ir::SplitMix64;
 use ms_sim::SimConfig;
 use ms_tasksel::{SelectorBuilder, Strategy, TaskSelector, TaskSizeParams};
 
-use crate::{check_selection_engine, CheckEngine};
+use crate::check_selection;
 
 /// Decorrelates fuzz-program derivation from other uses of the seed.
 const FUZZ_SALT: u64 = 0x5eed_f0dd_5eed_f0dd;
@@ -32,15 +32,11 @@ pub struct FuzzParams {
     /// ([`SimConfig::with_injected_commit_undercount`]) — used by the
     /// harness's own process test to prove the loop catches real bugs.
     pub inject: bool,
-    /// Which execution engine(s) each check drives
-    /// ([`CheckEngine::Both`] additionally demands bit-identical
-    /// statistics across the scalar and batch engines).
-    pub engine: CheckEngine,
 }
 
 impl Default for FuzzParams {
     fn default() -> Self {
-        FuzzParams { max_blocks: 16, insts: 4_000, inject: false, engine: CheckEngine::Scalar }
+        FuzzParams { max_blocks: 16, insts: 4_000, inject: false }
     }
 }
 
@@ -141,35 +137,12 @@ fn check_spec(
     if params.inject {
         cfg = cfg.with_injected_commit_undercount();
     }
-    check_selection_engine(&sel, cfg, params.insts, seed, params.engine).errors
+    check_selection(&sel, cfg, params.insts, seed).errors
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn both_engines_conform_differentially() {
-        // The differential mode must pass on clean seeds (bit-identical
-        // engines) and still catch injected faults — in both engines,
-        // since the injection lives in the shared timing model.
-        let params = FuzzParams { engine: CheckEngine::Both, ..FuzzParams::default() };
-        for seed in 0..2 {
-            let failures = fuzz_seed(seed, &params);
-            assert!(
-                failures.is_empty(),
-                "seed {seed} failed: {:?}",
-                failures.iter().flat_map(|f| &f.errors).collect::<Vec<_>>()
-            );
-        }
-        let inject =
-            FuzzParams { engine: CheckEngine::Both, inject: true, ..FuzzParams::default() };
-        let failures: Vec<_> = (0..4).flat_map(|seed| fuzz_seed(seed, &inject)).collect();
-        assert!(!failures.is_empty(), "injected fault must be caught in both-engine mode");
-        let errors: Vec<&String> = failures.iter().flat_map(|f| &f.errors).collect();
-        assert!(errors.iter().any(|e| e.starts_with("scalar: ")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.starts_with("batch: ")), "{errors:?}");
-    }
 
     #[test]
     fn clean_seeds_produce_no_failures() {

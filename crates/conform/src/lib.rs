@@ -50,38 +50,9 @@ pub use fuzz::{fuzz_seed, strategies, FuzzFailure, FuzzParams};
 pub use reference::{reference, RefTask, Reference};
 
 use ms_ir::Program;
-use ms_sim::{BatchEngine, CheckSink, ProgramImage, SimConfig, SimStats, Simulator};
+use ms_sim::{CheckSink, SimConfig, SimStats, Simulator};
 use ms_tasksel::{Selection, TaskPartition};
 use ms_trace::{Trace, TraceGenerator};
-
-/// Which execution engine(s) a conformance check drives. The two
-/// engines share one timing model and must produce bit-identical
-/// statistics and event streams; [`CheckEngine::Both`] enforces that
-/// differentially on every check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckEngine {
-    /// The scalar [`Simulator`] path (the historical default).
-    #[default]
-    Scalar,
-    /// The [`BatchEngine`] path, as a single-cell batch over a decoded
-    /// [`ProgramImage`].
-    Batch,
-    /// Both paths: every check layer runs against each engine
-    /// (failures labelled `scalar:` / `batch:`), and the two engines'
-    /// [`SimStats`] must be bit-identical.
-    Both,
-}
-
-impl CheckEngine {
-    /// The engine's CLI spelling (`run -- fuzz --engine NAME`).
-    pub fn label(self) -> &'static str {
-        match self {
-            CheckEngine::Scalar => "scalar",
-            CheckEngine::Batch => "batch",
-            CheckEngine::Both => "both",
-        }
-    }
-}
 
 /// The outcome of one fully-checked simulator run.
 #[derive(Debug, Clone)]
@@ -96,19 +67,8 @@ pub struct CheckRun {
 
 /// Generates a trace for `sel` and runs the full conformance check.
 pub fn check_selection(sel: &Selection, cfg: SimConfig, insts: usize, seed: u64) -> CheckRun {
-    check_selection_engine(sel, cfg, insts, seed, CheckEngine::Scalar)
-}
-
-/// [`check_selection`] on a chosen [`CheckEngine`].
-pub fn check_selection_engine(
-    sel: &Selection,
-    cfg: SimConfig,
-    insts: usize,
-    seed: u64,
-    engine: CheckEngine,
-) -> CheckRun {
     let trace = TraceGenerator::new(&sel.program, seed).generate(insts);
-    check_trace_engine(&sel.program, &sel.partition, &trace, cfg, engine)
+    check_trace(&sel.program, &sel.partition, &trace, cfg)
 }
 
 /// Runs `trace` through the engine under the event-stream checker, then
@@ -119,58 +79,10 @@ pub fn check_trace(
     trace: &Trace,
     cfg: SimConfig,
 ) -> CheckRun {
-    check_trace_engine(program, partition, trace, cfg, CheckEngine::Scalar)
-}
-
-/// [`check_trace`] on a chosen [`CheckEngine`]. `Both` runs the full
-/// three-layer check against each engine, labels each engine's
-/// violations, and additionally demands bit-identical [`SimStats`]
-/// across the engines — the only layer that catches a batch-path bug
-/// whose outcome is still self-consistent.
-pub fn check_trace_engine(
-    program: &Program,
-    partition: &TaskPartition,
-    trace: &Trace,
-    cfg: SimConfig,
-    engine: CheckEngine,
-) -> CheckRun {
-    let one = |batch: bool| -> CheckRun {
-        let oracle = reference(program, partition, trace);
-        let (stats, sink) = if batch {
-            let image = ProgramImage::new(program, partition, trace);
-            let mut sinks = [CheckSink::new()];
-            let stats = BatchEngine::new(&image)
-                .run_with_sinks(std::slice::from_ref(&cfg), &mut sinks)
-                .pop()
-                .expect("one cell in, one stats out");
-            let [sink] = sinks;
-            (stats, sink)
-        } else {
-            let mut sink = CheckSink::new();
-            let stats =
-                Simulator::new(cfg.clone(), program, partition).run_with_sink(trace, &mut sink);
-            (stats, sink)
-        };
-        let mut errors = sink.finish(&stats);
-        errors.extend(diff(&oracle, &sink, &stats));
-        CheckRun { stats, errors }
-    };
-    match engine {
-        CheckEngine::Scalar => one(false),
-        CheckEngine::Batch => one(true),
-        CheckEngine::Both => {
-            let scalar = one(false);
-            let batch = one(true);
-            let mut errors: Vec<String> =
-                scalar.errors.iter().map(|e| format!("scalar: {e}")).collect();
-            errors.extend(batch.errors.iter().map(|e| format!("batch: {e}")));
-            if scalar.stats != batch.stats {
-                errors.push(
-                    "engine divergence: batch-engine SimStats differ from the scalar engine's"
-                        .to_string(),
-                );
-            }
-            CheckRun { stats: scalar.stats, errors }
-        }
-    }
+    let oracle = reference(program, partition, trace);
+    let mut sink = CheckSink::new();
+    let stats = Simulator::new(cfg, program, partition).run_with_sink(trace, &mut sink);
+    let mut errors = sink.finish(&stats);
+    errors.extend(diff(&oracle, &sink, &stats));
+    CheckRun { stats, errors }
 }

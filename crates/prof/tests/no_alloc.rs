@@ -4,74 +4,14 @@
 //! only a thread-local check. Mirrors the `NullSink` guarantee from the
 //! sim crate's event tracing.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// The allocation counter is process-global, so tests that measure a
-/// quiet window must not overlap tests that allocate on purpose (the
-/// harness runs tests on parallel threads). Every test below holds
-/// this lock around its measured section.
-static MEASURE: Mutex<()> = Mutex::new(());
-
-/// The system allocator with a global allocation counter.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use ms_testalloc::{gate, measure, CountingAlloc};
 
 #[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Takes the measurement lock even if a sibling test panicked while
-/// holding it — a poisoned gate would turn one failure into three.
-fn gate() -> MutexGuard<'static, ()> {
-    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The cleanest (minimum) allocation count over a few measured windows.
-/// The counter is process-global and the harness runs other tests on
-/// sibling threads whose bookkeeping (thread spawn, result channels)
-/// allocates outside [`MEASURE`], so a single window can pick up stray
-/// counts. One quiet window proves the measured path itself is
-/// allocation-free; a real hot-path allocation shows up in *every*
-/// window, ten-thousand-fold, and no number of retries can hide it.
-fn min_allocs_over_windows(f: impl Fn()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..5 {
-        let before = allocs();
-        f();
-        best = best.min(allocs() - before);
-        if best == 0 {
-            break;
-        }
-    }
-    best
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_profiling_allocates_nothing() {
+    let _gate = gate();
     // Touch the thread-local slots once so lazy TLS initialisation is
     // not charged to the measured loop.
     assert!(!ms_prof::is_enabled());
@@ -80,8 +20,7 @@ fn disabled_profiling_allocates_nothing() {
     ms_prof::hist_record("warmup", 1);
     ms_prof::gauge_set("warmup", 1.0);
 
-    let _gate = gate();
-    let counted = min_allocs_over_windows(|| {
+    let (counted, ()) = measure(|| {
         for i in 0..10_000u64 {
             let s = ms_prof::span("hot");
             s.add_items(i);
@@ -93,13 +32,14 @@ fn disabled_profiling_allocates_nothing() {
         }
     });
     assert_eq!(
-        counted, 0,
+        counted.calls, 0,
         "disabled span/registry calls must not allocate (NullProfiler guarantee)"
     );
 }
 
 #[test]
 fn disabled_progress_sink_allocates_nothing() {
+    let _gate = gate();
     // The run-ledger ProgressSink mirrors the NullProfiler contract:
     // the disabled sink (what plain `run_parallel` callers get) must
     // cost one branch per call — no atomics touched, no allocation.
@@ -107,8 +47,7 @@ fn disabled_progress_sink_allocates_nothing() {
     assert!(!sink.is_enabled());
     sink.add_queued(1); // touch once before measuring
 
-    let _gate = gate();
-    let counted = min_allocs_over_windows(|| {
+    let (counted, ()) = measure(|| {
         for i in 0..10_000u64 {
             sink.add_queued(1);
             sink.cell_started();
@@ -118,21 +57,19 @@ fn disabled_progress_sink_allocates_nothing() {
         }
     });
     assert_eq!(
-        counted, 0,
+        counted.calls, 0,
         "disabled ProgressSink calls must not allocate (ledger zero-overhead guarantee)"
     );
 }
 
 #[test]
 fn enabled_profiling_does_allocate_so_the_counter_works() {
-    // Sanity-check the measurement itself: the enabled path must be
-    // visible to the counting allocator, otherwise the test above
-    // proves nothing.
     let _gate = gate();
+    // Sanity-check the measurement itself: the enabled path must be
+    // visible to the counting allocator, otherwise the tests above
+    // prove nothing.
     ms_prof::enable();
-    let before = allocs();
-    drop(ms_prof::span("live"));
-    let after = allocs();
-    assert!(after > before, "enabled spans allocate; counter saw {}", after - before);
+    let (counted, ()) = measure(|| drop(ms_prof::span("live")));
+    assert!(counted.calls > 0, "enabled spans allocate; counter saw {}", counted.calls);
     ms_prof::disable();
 }

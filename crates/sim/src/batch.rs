@@ -1,27 +1,23 @@
-//! Batched multi-cell execution over one shared program image.
+//! Running many cells over one shared program image.
 //!
 //! A sweep evaluates many configurations of the *same* (program,
-//! partition, trace) triple — figure 5 alone runs dozens of hardware
-//! points per benchmark. The scalar path re-splits and re-decodes the
-//! trace for every cell; [`BatchEngine`] decodes once into a
-//! [`ProgramImage`] and advances N independent [`Engine`] cells through
-//! the shared image task by task, so the decoded instruction columns
-//! stay hot in cache across cells and per-trace setup is amortised over
-//! the whole batch.
+//! partition, trace) triple — figure 5 alone runs four machines per
+//! (benchmark, heuristic) partition. Splitting and decoding the trace is
+//! per-trace work, so [`BatchEngine`] does it once, in the
+//! [`ProgramImage`] it is given, and then runs one cell per
+//! configuration over that image, one after another.
 //!
-//! Each cell keeps its own complete engine state (caches, predictors,
-//! ring, ARB, scratch); the interleave is pure scheduling, so every
-//! cell's statistics and event stream are bit-identical to a scalar
-//! [`crate::Simulator`] run of the same configuration — the fuzzer's
-//! `--engine both` mode and the cycle-identity regression tests pin
-//! exactly that.
+//! Each cell builds its own complete engine state (caches, predictors,
+//! ring, ARB, scratch) and runs through the same per-cell function as
+//! [`crate::Simulator`], so every cell's statistics equal a
+//! [`crate::Simulator`] run of the same configuration.
 
 use crate::config::SimConfig;
-use crate::engine::{Engine, ProgramImage};
-use crate::event::{NullSink, TraceSink};
+use crate::engine::{run_cell, ProgramImage};
+use crate::event::NullSink;
 use crate::stats::SimStats;
 
-/// Executes N independent simulation cells over one decoded
+/// Runs independent simulation cells over one decoded
 /// [`ProgramImage`].
 ///
 /// # Example
@@ -43,9 +39,9 @@ use crate::stats::SimStats;
 /// let image = ProgramImage::new(&sel.program, &sel.partition, &trace);
 /// let batch = BatchEngine::new(&image).run(&configs);
 ///
-/// // Bit-identical to running each cell through the scalar engine.
-/// let scalar = Simulator::new(configs[0].clone(), &sel.program, &sel.partition).run(&trace);
-/// assert_eq!(batch[0], scalar);
+/// // Each cell equals a standalone simulation of its configuration.
+/// let alone = Simulator::new(configs[0].clone(), &sel.program, &sel.partition).run(&trace);
+/// assert_eq!(batch[0], alone);
 /// ```
 #[derive(Debug)]
 pub struct BatchEngine<'i, 'a> {
@@ -58,47 +54,9 @@ impl<'i, 'a> BatchEngine<'i, 'a> {
         BatchEngine { img }
     }
 
-    /// Runs one cell per configuration, returning statistics in input
-    /// order.
+    /// Runs one cell per configuration, one after another, returning
+    /// statistics in input order.
     pub fn run(&self, configs: &[SimConfig]) -> Vec<SimStats> {
-        let mut sinks: Vec<NullSink> = configs.iter().map(|_| NullSink).collect();
-        self.run_with_sinks(configs, &mut sinks)
-    }
-
-    /// [`BatchEngine::run`] with one event sink per cell (`sinks` must
-    /// match `configs` in length). Cells advance in lockstep through
-    /// the task sequence: task k of every cell executes before task
-    /// k+1 of any cell, keeping the shared image's decoded columns hot.
-    pub fn run_with_sinks<S: TraceSink>(
-        &self,
-        configs: &[SimConfig],
-        sinks: &mut [S],
-    ) -> Vec<SimStats> {
-        assert_eq!(configs.len(), sinks.len(), "one sink per cell");
-        let prof = ms_prof::span("sim.run");
-        let mut engines: Vec<Engine<'_>> =
-            configs.iter().map(|cfg| Engine::new(cfg, self.img)).collect();
-        for k in 0..self.img.num_tasks() {
-            for (engine, sink) in engines.iter_mut().zip(sinks.iter_mut()) {
-                engine.step(k, sink);
-            }
-        }
-        let stats: Vec<SimStats> = engines
-            .iter_mut()
-            .zip(sinks.iter_mut())
-            .map(|(engine, sink)| engine.finish(sink))
-            .collect();
-        let mut insts = 0u64;
-        let mut cycles = 0u64;
-        let mut dyn_tasks = 0u64;
-        for s in &stats {
-            insts += s.total_insts;
-            cycles += s.total_cycles;
-            dyn_tasks += s.num_dyn_tasks as u64;
-        }
-        prof.add_items(insts);
-        ms_prof::counter_add("sim.cycles", cycles);
-        ms_prof::counter_add("sim.dyn_tasks", dyn_tasks);
-        stats
+        configs.iter().map(|cfg| run_cell(cfg, self.img, &mut NullSink)).collect()
     }
 }

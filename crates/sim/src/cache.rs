@@ -6,7 +6,7 @@
 //! fully pipelined and banked one bank per PU).
 
 use crate::config::CacheParams;
-use crate::fxmap::FxMap;
+use ms_trace::FxMap;
 
 /// Way storage: `(tag, last-use stamp)` pairs, `assoc` per set. Stamp 0
 /// marks an empty way (the stamp counter starts at 1), and empty ways

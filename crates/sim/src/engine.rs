@@ -27,19 +27,18 @@
 //! held by a [`crate::ProgramImage`], register write sets travel as
 //! single-`u64` SWAR masks ([`crate::swar`]), ARB line membership is a
 //! lane-packed byte-tag probe, and per-PU mutable state is cache-line
-//! aligned. One engine advances one cell task by task
-//! ([`Engine::step`]), which is what lets [`crate::BatchEngine`]
-//! interleave many independent cells over one shared decoded image.
+//! aligned. One engine runs one cell over a shared decoded image, so a
+//! sweep decodes each trace once and runs its machine configurations
+//! over the image one after another ([`crate::BatchEngine`]).
 
 use ms_analysis::Liveness;
 use ms_ir::{BlockRef, Program, NUM_REGS};
 use ms_tasksel::{TaskPartition, TaskTarget};
-use ms_trace::{split_tasks, CtOutcome, DynExit, DynTask, Trace};
+use ms_trace::{split_tasks, CtOutcome, DynExit, DynTask, FxMap, Trace};
 
 use crate::cache::{Cache, Hierarchy};
 use crate::config::SimConfig;
 use crate::event::{NullSink, SimEvent, SquashCause, TraceSink};
-use crate::fxmap::FxMap;
 use crate::predictor::{Gshare, TaskPredictor};
 use crate::sink::TimelineSink;
 use crate::stats::{CycleBreakdown, SimStats};
@@ -120,47 +119,13 @@ impl<'a> Simulator<'a> {
         self.run_with_sink(trace, &mut NullSink)
     }
 
-    /// Runs a pre-split dynamic task sequence (lets callers reuse a
-    /// split across configurations).
-    pub fn run_tasks(&self, trace: &Trace, tasks: &[DynTask]) -> SimStats {
-        self.run_tasks_with_sink(trace, tasks, &mut NullSink)
-    }
-
     /// Runs the trace, streaming [`SimEvent`]s into `sink` — the
     /// observability entry point. With [`NullSink`] this is exactly
     /// [`Simulator::run`]: no events are constructed and no attribution
     /// bookkeeping is allocated.
     pub fn run_with_sink<S: TraceSink>(&self, trace: &Trace, sink: &mut S) -> SimStats {
         let image = ProgramImage::new(self.program, self.partition, trace);
-        self.run_image_with_sink(&image, sink)
-    }
-
-    /// [`Simulator::run_tasks`] with an event sink.
-    pub fn run_tasks_with_sink<S: TraceSink>(
-        &self,
-        trace: &Trace,
-        tasks: &[DynTask],
-        sink: &mut S,
-    ) -> SimStats {
-        let image = ProgramImage::with_tasks(self.program, self.partition, trace, tasks.to_vec());
-        self.run_image_with_sink(&image, sink)
-    }
-
-    fn run_image_with_sink<S: TraceSink>(
-        &self,
-        image: &ProgramImage<'_>,
-        sink: &mut S,
-    ) -> SimStats {
-        // The span wraps the whole engine run; the per-instruction loop
-        // inside stays untouched (the `prof_null` test pins that the
-        // disabled profiler adds no allocations here).
-        let prof = ms_prof::span("sim.run");
-        let mut engine = Engine::new(&self.config, image);
-        let stats = engine.run_all(sink);
-        prof.add_items(stats.total_insts);
-        ms_prof::counter_add("sim.cycles", stats.total_cycles);
-        ms_prof::counter_add("sim.dyn_tasks", stats.num_dyn_tasks as u64);
-        stats
+        run_cell(&self.config, &image, sink)
     }
 
     /// Runs the trace and additionally returns the per-task time line
@@ -175,10 +140,30 @@ impl<'a> Simulator<'a> {
     }
 }
 
+/// Runs one cell — one machine configuration over a decoded image —
+/// to completion. The single simulation path behind [`Simulator`] and
+/// [`crate::BatchEngine`]; it owns the `sim.run` span and the
+/// `sim.cycles` / `sim.dyn_tasks` counters.
+pub(crate) fn run_cell<S: TraceSink>(
+    cfg: &SimConfig,
+    img: &ProgramImage<'_>,
+    sink: &mut S,
+) -> SimStats {
+    // The span wraps the whole engine run; the per-instruction loop
+    // inside stays untouched (the `prof_null` test pins that the
+    // disabled profiler adds no allocations here).
+    let prof = ms_prof::span("sim.run");
+    let stats = Engine::new(cfg, img).run_all(sink);
+    prof.add_items(stats.total_insts);
+    ms_prof::counter_add("sim.cycles", stats.total_cycles);
+    ms_prof::counter_add("sim.dyn_tasks", stats.num_dyn_tasks as u64);
+    stats
+}
+
 /// A decoded program image: the trace's dynamic task split plus the
 /// struct-of-arrays instruction table, built once and shared by every
-/// engine that executes the trace — every squash re-attempt of the
-/// scalar path, and every cell of a [`crate::BatchEngine`] batch.
+/// engine that executes the trace — every squash re-attempt of a cell,
+/// and every cell of a [`crate::BatchEngine`] group.
 #[derive(Debug)]
 pub struct ProgramImage<'a> {
     pub(crate) program: &'a Program,
@@ -271,11 +256,6 @@ impl<'a> ProgramImage<'a> {
             task_live_mask,
             task_live_filter,
         }
-    }
-
-    /// Number of dynamic tasks the image's trace splits into.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
     }
 
     /// The program the image was decoded from.
@@ -484,17 +464,44 @@ impl<'e> Engine<'e> {
         }
     }
 
-    pub(crate) fn run_all<S: TraceSink>(&mut self, sink: &mut S) -> SimStats {
+    /// Runs every dynamic task of the image, then does the final
+    /// accounting.
+    pub(crate) fn run_all<S: TraceSink>(mut self, sink: &mut S) -> SimStats {
         for k in 0..self.img.tasks.len() {
             self.step(k, sink);
         }
-        self.finish(sink)
+        let p = self.cfg.num_pus;
+        self.stats.total_cycles = self.retire.last().copied().unwrap_or(0);
+        if sink.enabled() {
+            // Drain: PUs whose last task retired before the run ended
+            // (and PUs that never ran a task) idle to the final cycle.
+            for (pu, state) in self.pus.iter().enumerate() {
+                if state.free < self.stats.total_cycles {
+                    sink.event(&SimEvent::PuIdle {
+                        pu,
+                        from: state.free,
+                        to: self.stats.total_cycles,
+                    });
+                }
+            }
+        }
+        self.stats.pu_idle_cycles =
+            (self.stats.total_cycles * p as u64).saturating_sub(self.residency);
+        self.stats.reg_forwards = self.reg_forwards;
+        self.stats.l1d = self.dcache.l1_counters();
+        self.stats.l1i = self.icache.l1_counters();
+        self.stats.window_span_measured = if self.stats.total_cycles == 0 {
+            0.0
+        } else {
+            self.inflight_span as f64 / self.stats.total_cycles as f64
+        };
+        self.stats
     }
 
     /// Advances the cell by one dynamic task: dispatch, execute (with
     /// squash re-attempts), retire, commit architectural effects,
     /// predict the exit.
-    pub(crate) fn step<S: TraceSink>(&mut self, k: usize, sink: &mut S) {
+    fn step<S: TraceSink>(&mut self, k: usize, sink: &mut S) {
         let dt = self.img.tasks[k].clone();
         let p = self.cfg.num_pus;
         let pu = k % p;
@@ -695,36 +702,6 @@ impl<'e> Engine<'e> {
         account(self.cfg, &mut self.stats.breakdown, &attempt, dispatch, imbalance);
         // Return the attempt's buffers for the next task.
         self.scratch.attempt = attempt;
-    }
-
-    /// Final accounting after the last task stepped.
-    pub(crate) fn finish<S: TraceSink>(&mut self, sink: &mut S) -> SimStats {
-        let p = self.cfg.num_pus;
-        self.stats.total_cycles = self.retire.last().copied().unwrap_or(0);
-        if sink.enabled() {
-            // Drain: PUs whose last task retired before the run ended
-            // (and PUs that never ran a task) idle to the final cycle.
-            for (pu, state) in self.pus.iter().enumerate() {
-                if state.free < self.stats.total_cycles {
-                    sink.event(&SimEvent::PuIdle {
-                        pu,
-                        from: state.free,
-                        to: self.stats.total_cycles,
-                    });
-                }
-            }
-        }
-        self.stats.pu_idle_cycles =
-            (self.stats.total_cycles * p as u64).saturating_sub(self.residency);
-        self.stats.reg_forwards = self.reg_forwards;
-        self.stats.l1d = self.dcache.l1_counters();
-        self.stats.l1i = self.icache.l1_counters();
-        self.stats.window_span_measured = if self.stats.total_cycles == 0 {
-            0.0
-        } else {
-            self.inflight_span as f64 / self.stats.total_cycles as f64
-        };
-        std::mem::take(&mut self.stats)
     }
 
     fn sync_insert(&mut self, pc: u64) {

@@ -39,19 +39,17 @@
 //!   Event semantics and the reconciliation invariants against
 //!   [`SimStats`] are documented in `docs/TRACING.md`.
 //!
-//! # Execution engines
+//! # Execution
 //!
 //! The hot loop is data-oriented: instructions are decoded once per
 //! (program, trace) into a struct-of-arrays table held by a
 //! [`ProgramImage`], register write sets travel as single-`u64` SWAR
 //! masks ([`swar`]), and ARB line membership is a lane-packed byte-tag
-//! probe. Two drivers share that loop:
+//! probe. One per-cell function runs that loop:
 //!
-//! * [`Simulator`] — the scalar path: one configuration, one cell.
-//! * [`BatchEngine`] — N independent cells advanced in lockstep over
-//!   one shared decoded image (the default sweep path in `ms-bench`).
-//!   Statistics and event streams are bit-identical to the scalar
-//!   path; `run -- fuzz --engine both` differentially enforces that.
+//! * [`Simulator`] — one configuration: decode, then run one cell.
+//! * [`BatchEngine`] — many configurations over one decoded image, run
+//!   one after another (how `ms-bench` sweeps decode each trace once).
 //!
 //! Entry points: [`SimConfig`] (presets [`SimConfig::four_pu`],
 //! [`SimConfig::eight_pu`], [`SimConfig::single_pu`]), [`Simulator`],
@@ -66,7 +64,6 @@ mod check;
 mod config;
 mod engine;
 mod event;
-mod fxmap;
 mod predictor;
 mod sink;
 mod stats;

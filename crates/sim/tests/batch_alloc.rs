@@ -1,4 +1,4 @@
-//! Pins the batch engine's hot loop allocation-free in steady state.
+//! Pins the engine's hot loop allocation-free in steady state.
 //!
 //! This test binary installs a counting `#[global_allocator]` and
 //! measures the allocations made *inside* [`BatchEngine::run`] for the
@@ -10,52 +10,14 @@
 //! allocations (amortised `Vec` growth of per-task scratch), never a
 //! per-instruction or per-cycle term.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ms_analysis::ProgramContext;
 use ms_sim::{BatchEngine, ProgramImage, SimConfig};
 use ms_tasksel::{Selection, SelectorBuilder, Strategy};
+use ms_testalloc::{gate, measure, CountingAlloc};
 use ms_trace::TraceGenerator;
 
-/// Forwards to the system allocator, counting calls and bytes.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System`; the counters have no effect
-// on the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: Counting = Counting;
-
-/// (allocation calls, bytes requested) during `f`.
-fn counted<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let b0 = BYTES.load(Ordering::Relaxed);
-    let out = f();
-    let a1 = ALLOCS.load(Ordering::Relaxed);
-    let b1 = BYTES.load(Ordering::Relaxed);
-    (a1 - a0, b1 - b0, out)
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn selection() -> Selection {
     let program = ms_workloads::by_name("compress").unwrap().build();
@@ -71,14 +33,15 @@ fn run_allocs(sel: &Selection, insts: usize, cells: usize) -> (u64, u64, u64) {
     let trace = TraceGenerator::new(&sel.program, 7).generate(insts);
     let image = ProgramImage::new(&sel.program, &sel.partition, &trace);
     let configs: Vec<SimConfig> = (0..cells).map(|_| SimConfig::four_pu()).collect();
-    let (allocs, bytes, stats) = counted(|| BatchEngine::new(&image).run(&configs));
+    let (allocs, stats) = measure(|| BatchEngine::new(&image).run(&configs));
     let total_insts: u64 = stats.iter().map(|s| s.total_insts).sum();
     assert!(total_insts > 0, "simulation actually ran");
-    (allocs, bytes, total_insts)
+    (allocs.calls, allocs.bytes, total_insts)
 }
 
 #[test]
 fn batch_hot_loop_is_allocation_free_in_steady_state() {
+    let _gate = gate();
     let sel = selection();
     // Warm-up run so one-time lazy state (prof registry, etc.) is paid
     // before anything is counted.
@@ -94,7 +57,7 @@ fn batch_hot_loop_is_allocation_free_in_steady_state() {
     // 4x the instructions must not mean 4x the allocations: the only
     // growth allowed is amortised doubling of per-task scratch vectors,
     // a handful of reallocs — not a per-instruction term (which would
-    // show up as tens of thousands here). Measured today: 98 -> 102.
+    // show up as tens of thousands here). Measured today: 97 -> 101.
     let delta = large_allocs.saturating_sub(small_allocs);
     assert!(
         delta <= 16,
@@ -118,6 +81,7 @@ fn batch_run_allocations_are_deterministic() {
     // Two identical runs must allocate identically — the hot loop has
     // no load-dependent allocation path (hash-map growth, overflow
     // spill) that only some inputs trigger.
+    let _gate = gate();
     let sel = selection();
     let _ = run_allocs(&sel, 2_000, 1);
     let (a1, b1, _) = run_allocs(&sel, 20_000, 3);

@@ -5,43 +5,14 @@
 //! byte-for-byte the same count, run to run — mirroring the `NullSink`
 //! guarantee the event-tracing tests pin.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ms_analysis::ProgramContext;
 use ms_sim::{SimConfig, SimStats, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
+use ms_testalloc::{gate, measure, CountingAlloc};
 use ms_trace::TraceGenerator;
 
-/// The system allocator with a global allocation counter.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no further side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// One full simulation of the compress workload (trace pre-generated so
 /// only selection + simulation run inside the measured window).
@@ -51,6 +22,7 @@ fn simulate(sel: &ms_tasksel::Selection, trace: &ms_trace::Trace) -> SimStats {
 
 #[test]
 fn disabled_profiling_leaves_simulation_allocations_unchanged() {
+    let _gate = gate();
     let program = ms_workloads::by_name("compress").unwrap().build();
     let sel = SelectorBuilder::new(Strategy::ControlFlow)
         .max_targets(4)
@@ -67,30 +39,30 @@ fn disabled_profiling_leaves_simulation_allocations_unchanged() {
     // span (or any instrumentation under it) ever started allocating,
     // the engine's hot loop would no longer be free of profiling cost
     // and this equality is where it shows up first.
-    let before_a = allocs();
-    let run_a = simulate(&sel, &trace);
-    let cost_a = allocs() - before_a;
-    let before_b = allocs();
-    let run_b = simulate(&sel, &trace);
-    let cost_b = allocs() - before_b;
+    let (cost_a, run_a) = measure(|| simulate(&sel, &trace));
+    let (cost_b, run_b) = measure(|| simulate(&sel, &trace));
     assert_eq!(run_a, warm);
     assert_eq!(run_a, run_b);
-    assert_eq!(cost_a, cost_b, "disabled profiling must have a fixed (zero) allocation cost");
+    assert_eq!(
+        cost_a.calls, cost_b.calls,
+        "disabled profiling must have a fixed (zero) allocation cost"
+    );
 
     // And the disabled entry points themselves allocate nothing at all,
     // pinned here against the binary that links the full simulator.
-    let before = allocs();
-    for i in 0..10_000u64 {
-        let span = ms_prof::span("sim.run");
-        span.add_items(i);
-        ms_prof::counter_add("sim.cycles", i);
-    }
-    let after = allocs();
-    assert_eq!(after - before, 0, "disabled span/counter calls allocated");
+    let (cost, ()) = measure(|| {
+        for i in 0..10_000u64 {
+            let span = ms_prof::span("sim.run");
+            span.add_items(i);
+            ms_prof::counter_add("sim.cycles", i);
+        }
+    });
+    assert_eq!(cost.calls, 0, "disabled span/counter calls allocated");
 }
 
 #[test]
 fn enabled_profiling_is_visible_to_the_allocation_counter() {
+    let _gate = gate();
     // Sanity check for the test above: with a collector enabled the
     // same wrapper does allocate, so the counter is measuring the real
     // code path and a silent always-on regression cannot hide.
@@ -101,19 +73,16 @@ fn enabled_profiling_is_visible_to_the_allocation_counter() {
     let trace = TraceGenerator::new(&sel.program, 7).generate(2_000);
     simulate(&sel, &trace); // warm up
 
-    let before_off = allocs();
-    simulate(&sel, &trace);
-    let cost_off = allocs() - before_off;
-
+    let (cost_off, _) = measure(|| simulate(&sel, &trace));
     ms_prof::enable();
-    let before_on = allocs();
-    simulate(&sel, &trace);
-    let cost_on = allocs() - before_on;
+    let (cost_on, _) = measure(|| simulate(&sel, &trace));
     let report = ms_prof::disable().expect("collector was enabled");
 
     assert!(report.spans.iter().any(|s| s.path == "sim.run"));
     assert!(
-        cost_on > cost_off,
-        "enabled profiling should allocate (off: {cost_off}, on: {cost_on})"
+        cost_on.calls > cost_off.calls,
+        "enabled profiling should allocate (off: {}, on: {})",
+        cost_off.calls,
+        cost_on.calls
     );
 }

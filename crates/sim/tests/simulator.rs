@@ -4,7 +4,7 @@ use ms_analysis::ProgramContext;
 use ms_ir::{
     AddrSpec, BranchBehavior, FunctionBuilder, Opcode, Program, ProgramBuilder, Reg, Terminator,
 };
-use ms_sim::{SimConfig, SimStats, Simulator};
+use ms_sim::{BatchEngine, ProgramImage, SimConfig, SimStats, Simulator};
 use ms_tasksel::{SelectorBuilder, Strategy};
 use ms_trace::TraceGenerator;
 
@@ -315,4 +315,27 @@ fn basic_block_tasks_underperform_control_flow_tasks() {
     );
     // And their tasks are bigger.
     assert!(s_cf.avg_task_size() > s_bb.avg_task_size());
+}
+
+/// Cells run over one shared image must not leak state into each
+/// other: a group of two gives exactly what each cell gives alone, in
+/// either order.
+#[test]
+fn grouped_cells_match_cells_run_alone() {
+    for workload in ["compress", "go"] {
+        let program = ms_workloads::by_name(workload).unwrap().build();
+        let sel = SelectorBuilder::new(Strategy::ControlFlow)
+            .max_targets(4)
+            .build()
+            .select(&ProgramContext::new(program));
+        let trace = TraceGenerator::new(&sel.program, 0x5eed).generate(20_000);
+        let image = ProgramImage::new(&sel.program, &sel.partition, &trace);
+        let engine = BatchEngine::new(&image);
+        let (a, b) = (SimConfig::four_pu(), SimConfig::eight_pu().in_order());
+        let alone_a = engine.run(std::slice::from_ref(&a)).pop().unwrap();
+        let alone_b = engine.run(std::slice::from_ref(&b)).pop().unwrap();
+        assert_ne!(alone_a, alone_b, "{workload}: the two machines must differ");
+        assert_eq!(engine.run(&[a.clone(), b.clone()]), [alone_a.clone(), alone_b.clone()]);
+        assert_eq!(engine.run(&[b, a]), [alone_b, alone_a]);
+    }
 }

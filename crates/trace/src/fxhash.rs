@@ -1,24 +1,26 @@
-//! A fast non-cryptographic hasher for the walker's internal maps.
+//! A fast non-cryptographic hasher for small-key internal maps.
 //!
 //! The trace walker hits its loop-iteration and branch-pattern maps on
-//! every control transfer it generates; the std default SipHash costs
-//! more than the rest of the lookup for these tiny keys. This is the
-//! classic multiply-xor "Fx" construction (as used by rustc) —
-//! std-only, deterministic, and never exposed in iteration-order-
-//! sensitive positions: every `FxMap` here is lookup-only (no map is
-//! iterated), so the hasher cannot perturb the generated trace.
+//! every control transfer it generates, and the simulator's hot loop
+//! hits its store map and indirect-jump predictor on every memory
+//! instruction and task; the std default SipHash costs more than the
+//! rest of the lookup for these tiny keys. This is the classic
+//! multiply-xor "Fx" construction (as used by rustc) — std-only and
+//! deterministic. Every `FxMap` in the workspace is lookup-only (no
+//! map is iterated), so the hasher cannot perturb the generated trace
+//! or the timing statistics.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` with the [`FxHasher`].
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-xor hasher over machine words.
 #[derive(Debug, Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 
@@ -84,5 +86,17 @@ mod tests {
             assert_eq!(m.get(&(i * 64)), Some(&i));
         }
         assert_eq!(m.get(&1), None);
+    }
+
+    #[test]
+    fn deterministic_across_instances() {
+        use std::hash::Hash;
+        let h = |v: u64| {
+            let mut h = FxHasher::default();
+            v.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(h(42), h(42));
+        assert_ne!(h(42), h(43));
     }
 }

@@ -65,6 +65,7 @@ mod split;
 mod stats;
 mod step;
 
+pub use fxhash::{FxHasher, FxMap};
 pub use gen::TraceGenerator;
 pub use split::{split_tasks, DynExit, DynTask};
 pub use stats::{measure_profile, DynTaskStats};

@@ -5,7 +5,9 @@
 #
 #   ./scripts/check.sh
 #
-# 1. release build of every crate (benches and examples included),
+# 1. release build of every crate (benches and examples included), and
+#    of the benchmark helper perfbench/layers (its own package, so a
+#    public-API change that breaks the benchmark fails here),
 # 2. the full test suite on default features (`heavy-tests` scales the
 #    randomized suites up and is opt-in: cargo test --features heavy-tests),
 # 3. rustdoc with warnings denied (missing docs and broken intra-doc
@@ -36,16 +38,12 @@
 #    involved — the committed trajectory must be free of cumulative
 #    drift vs best-ever (MS_PERF_ACCEPT_REGRESSION=1 reports instead),
 # 9. conformance fuzz smoke: 25 random programs x every registered
-#    selection policy must match the sequential reference model on
-#    BOTH execution engines (--engine both: scalar and batch paths
-#    checked differentially, bit-identical stats demanded;
-#    docs/CONFORMANCE.md),
+#    selection policy must match the sequential reference model
+#    (docs/CONFORMANCE.md),
 # 10. run-ledger smoke: a small sweep must leave a run record that
-#    passes `run -- runs-validate` and shows up in `run -- runs`;
-#    the same grid re-run under --engine scalar must be byte-identical
-#    to the batch-engine artifacts (the engine-identity contract,
-#    DESIGN.md section 6); target/experiments/runs/ is pruned to the
-#    newest 50 records (docs/OBSERVABILITY.md),
+#    passes `run -- runs-validate` and shows up in `run -- runs`; the
+#    smoke steps share one ledger (MS_RUNS_DIR=target/experiments/runs),
+#    which is pruned to the newest 50 records (docs/OBSERVABILITY.md),
 # 11. sweep-service smoke: a daemon (`run -- serve`) must accept two
 #    identical submissions, serve the second one entirely from the
 #    content-addressed cell cache (zero cells simulated), produce
@@ -56,6 +54,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --workspace --release --benches --examples"
 cargo build --workspace --release --benches --examples
+
+echo "==> cargo build --release (perfbench/layers, the benchmark helper)"
+CARGO_TARGET_DIR=target/perfbench-layers \
+    cargo build --release --offline --manifest-path perfbench/layers/Cargo.toml
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
@@ -119,6 +121,10 @@ for doc in docs/*.md; do
 done
 [ "$docs_fail" -eq 0 ] || { echo "docs gate failed"; exit 1; }
 
+# Every smoke step below writes its run record into one ledger, so the
+# run-ledger smoke validates all of them and the prune keeps it bounded.
+export MS_RUNS_DIR=target/experiments/runs
+
 echo "==> perf gate (run -- perf --baseline best, best-ever committed baseline)"
 smoke_dir=target/perf-smoke
 rm -rf "$smoke_dir"
@@ -166,25 +172,20 @@ for artifact in "$smoke_dir/perf/history.html" "$smoke_dir/perf/history.json"; d
 done
 cargo run -p ms-bench --release --bin run -q -- perf-validate "$smoke_dir/perf/history.json"
 
-echo "==> conformance fuzz smoke (run -- fuzz --seeds 25 --engine both)"
-# Differential check: BOTH execution engines vs the sequential reference
-# model on random programs under every selection policy, plus
-# bit-identical stats demanded across the engines; failures shrink to
-# .msir repros.
-cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --engine both --out target/fuzz-smoke
+echo "==> conformance fuzz smoke (run -- fuzz --seeds 25)"
+# Random programs under every selection policy against the sequential
+# reference model; failures shrink to .msir repros.
+rm -rf target/fuzz-smoke
+cargo run -p ms-bench --release --bin run -q -- fuzz --seeds 25 --out target/fuzz-smoke
 
 echo "==> run-ledger smoke (run -- runs, docs/OBSERVABILITY.md)"
 # The perf/perf-history/fuzz steps above each left a run record; add the
 # cheapest sweep so the sweep scheduler's telemetry path is exercised
 # too, then assert the ledger round-trips: every record validates and
-# the listing surfaces the sweep we just ran.
+# the listing surfaces the sweep we just ran. MS_RUNS_DIR (exported
+# above) holds the records of every smoke step, whatever its --out.
+rm -rf target/ledger-smoke
 cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --out target/ledger-smoke
-# Engine identity at the artifact level: the same grid through the
-# scalar engine must be byte-for-byte the batch-engine tree above.
-cargo run -p ms-bench --release --bin run -q -- forwarding --jobs 2 --engine scalar \
-    --out target/ledger-smoke-scalar
-diff -r target/ledger-smoke/forwarding target/ledger-smoke-scalar/forwarding \
-    || { echo "batch and scalar engines emitted different sweep artifacts"; exit 1; }
 cargo run -p ms-bench --release --bin run -q -- runs-validate
 # Filter by command: record ids have one-second resolution, and several
 # smoke steps can finish inside the same second.
@@ -194,7 +195,7 @@ echo "$runs_listing" | grep -q "forwarding" \
 cargo run -p ms-bench --release --bin run -q -- runs --cmd perf --last 3
 # Keep the ledger bounded: newest 50 records, oldest pruned (the
 # UTC-stamp filename prefix makes lexicographic order chronological).
-runs_dir=target/experiments/runs
+runs_dir=$MS_RUNS_DIR
 if [ -d "$runs_dir" ]; then
     total=$(ls "$runs_dir"/*.jsonl 2>/dev/null | wc -l)
     if [ "$total" -gt 50 ]; then
