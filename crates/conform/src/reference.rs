@@ -66,7 +66,7 @@ pub fn reference(program: &Program, partition: &TaskPartition, trace: &Trace) ->
             ct_insts: 0,
             writes: 0,
         };
-        for idx in dt.start..dt.end {
+        for idx in dt.steps() {
             for inst in trace.inst_refs(idx, program) {
                 t.insts += 1;
                 if inst.is_ct() {

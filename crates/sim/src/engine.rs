@@ -43,11 +43,16 @@ use crate::predictor::{Gshare, TaskPredictor};
 use crate::sink::TimelineSink;
 use crate::stats::{CycleBreakdown, SimStats};
 use crate::swar::{self, TagSet};
-use crate::table::{DynInstTable, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINED, NO_DST};
+use crate::table::{
+    dense_bases, DynInstTable, CLASS_MASK, F_CT, F_LOAD, F_STORE, F_UNPIPELINED, NO_DST,
+};
 
 /// Maximum squash-and-re-execute attempts per task before the engine
 /// forces full memory synchronisation (livelock guard).
 const MAX_ATTEMPTS: u32 = 8;
+
+/// Smallest `last_store` size that triggers a prune of retired stores.
+const MIN_STORE_PRUNE: usize = 64;
 
 /// The life of one dynamic task on the machine — the raw material of the
 /// paper's Figure 2 execution time line.
@@ -160,10 +165,25 @@ pub(crate) fn run_cell<S: TraceSink>(
     stats
 }
 
+/// [`ProgramImage::task_arm`] value: the task's actual exit is not
+/// among its static targets (always a mispredict).
+const ARM_MISS: u32 = u32::MAX;
+/// [`ProgramImage::task_arm`] value: the trace ended inside the task, so
+/// its exit is not predicted.
+const ARM_END: u32 = u32::MAX - 1;
+
 /// A decoded program image: the trace's dynamic task split plus the
 /// struct-of-arrays instruction table, built once and shared by every
 /// engine that executes the trace — every squash re-attempt of a cell,
 /// and every cell of a [`crate::BatchEngine`] group.
+///
+/// Per-task data that depends only on (program, partition, trace) —
+/// never on the machine — is computed here once instead of per cell,
+/// per task, per attempt. What scales with the trace is kept to compact
+/// columns: one [`DynTask`] and one `u32` target arm per dynamic task,
+/// one decoded-block id per step. Everything else is looked up in
+/// tables sized by the program: per static task (entry PC, target
+/// count) and per decoded block (its live-out mask as a task exit).
 #[derive(Debug)]
 pub struct ProgramImage<'a> {
     pub(crate) program: &'a Program,
@@ -171,20 +191,22 @@ pub struct ProgramImage<'a> {
     pub(crate) trace: &'a Trace,
     pub(crate) tasks: Vec<DynTask>,
     pub(crate) table: DynInstTable,
-    /// Per dynamic task: entry PC of its static task (the task
-    /// predictor's index and the descriptor cache's address).
-    pub(crate) task_entry_pc: Vec<u64>,
-    /// Per dynamic task: `(actual target index, target count)` for the
-    /// task predictor. Index `u32::MAX` means the actual exit is not
-    /// among the static targets (always a mispredict); count 0 means
-    /// the exit is not predicted at all (trace end).
-    pub(crate) task_pred_arm: Vec<(u32, u32)>,
-    /// Per dynamic task: live-out SWAR register mask of its exit block.
-    pub(crate) task_live_mask: Vec<u64>,
-    /// Per dynamic task: whether dead register filtering may apply at
-    /// its exit (liveness is intra-procedural, so call/return exits
-    /// conservatively forward everything).
-    pub(crate) task_live_filter: Vec<bool>,
+    /// Per dynamic task: index of the actual exit among its static
+    /// task's targets, for the task predictor ([`ARM_MISS`],
+    /// [`ARM_END`] otherwise).
+    task_arm: Vec<u32>,
+    /// Dense static-task ids: `(func, task)` ↦ `static_base[func] + task`.
+    static_base: Vec<u32>,
+    /// Per static task: entry PC (the task predictor's index and the
+    /// descriptor cache's address).
+    static_entry_pc: Vec<u64>,
+    /// Per static task: number of targets.
+    static_targets: Vec<u32>,
+    /// Per decoded block, as a task's exit: live-out SWAR register mask,
+    /// and whether dead register filtering may apply there (liveness is
+    /// intra-procedural, so call/return exits conservatively forward
+    /// everything). `None` for blocks that end no task.
+    exit_live: Vec<Option<(u64, bool)>>,
 }
 
 impl<'a> ProgramImage<'a> {
@@ -205,57 +227,59 @@ impl<'a> ProgramImage<'a> {
         let prof = ms_prof::span("sim.decode");
         let table = DynInstTable::build(program, trace);
 
-        // Per-task data that depends only on (program, partition,
-        // trace) — never on the machine configuration — computed once
-        // here instead of per cell, per task, per attempt.
-        let mut task_entry_pc = Vec::with_capacity(tasks.len());
-        let mut task_pred_arm = Vec::with_capacity(tasks.len());
-        let mut task_live_mask = Vec::with_capacity(tasks.len());
-        let mut task_live_filter = Vec::with_capacity(tasks.len());
-        let mut liveness: FxMap<usize, Liveness> = FxMap::default();
-        let mut per_static: FxMap<(usize, usize), (Vec<TaskTarget>, u64)> = FxMap::default();
-        let mut per_block: FxMap<(usize, usize), (u64, bool)> = FxMap::default();
+        let static_base = dense_bases(partition.funcs().iter().map(|fp| fp.tasks().len()));
+        let static_entry_pc: Vec<u64> = partition
+            .funcs()
+            .iter()
+            .flat_map(|fp| {
+                fp.tasks().iter().map(|t| program.block_pc(BlockRef::new(fp.func(), t.entry())))
+            })
+            .collect();
+        // Targets, liveness and exit masks are computed on first use:
+        // a trace reaches only part of a large program.
+        let mut targets_of: Vec<Option<Vec<TaskTarget>>> = vec![None; static_entry_pc.len()];
+        let mut exit_live = vec![None; table.block_off.len()];
+        let mut liveness: Vec<Option<Liveness>> = Vec::new();
+        liveness.resize_with(program.num_functions(), || None);
+        let mut task_arm = Vec::with_capacity(tasks.len());
         for dt in &tasks {
-            let key = (dt.func.index(), dt.task.index());
-            let (targets, entry_pc) = per_static.entry(key).or_insert_with(|| {
-                let targets = partition.targets(program, dt.func, dt.task);
-                let entry = partition.func(dt.func).task(dt.task).entry();
-                (targets, program.block_pc(BlockRef::new(dt.func, entry)))
+            let s = static_base[dt.func.index()] as usize + dt.task.index();
+            let targets =
+                targets_of[s].get_or_insert_with(|| partition.targets(program, dt.func, dt.task));
+            task_arm.push(match dt.exit {
+                DynExit::Target(actual) => {
+                    targets.iter().position(|t| *t == actual).map_or(ARM_MISS, |i| i as u32)
+                }
+                DynExit::End => ARM_END,
             });
-            task_entry_pc.push(*entry_pc);
-            task_pred_arm.push(match dt.exit {
-                DynExit::Target(actual) => match targets.iter().position(|t| *t == actual) {
-                    Some(idx) => (idx as u32, targets.len() as u32),
-                    None => (u32::MAX, targets.len().max(2) as u32),
-                },
-                DynExit::End => (0, 0),
-            });
-            let exit = trace.steps()[dt.end - 1].block;
-            let bkey = (exit.func.index(), exit.block.index());
-            let (mask, filterable) = *per_block.entry(bkey).or_insert_with(|| {
+            let last = dt.end as usize - 1;
+            exit_live[table.step_block[last] as usize].get_or_insert_with(|| {
+                let exit = trace.steps()[last].block;
                 let term = program.function(exit.func).block(exit.block).terminator();
-                let live = liveness
-                    .entry(exit.func.index())
-                    .or_insert_with(|| Liveness::compute(program.function(exit.func)));
+                let live = liveness[exit.func.index()]
+                    .get_or_insert_with(|| Liveness::compute(program.function(exit.func)));
                 let mask = live.live_out(exit.block).iter().fold(0u64, |m, r| m | (1 << r));
                 (mask, !term.is_call() && !term.is_return())
             });
-            task_live_mask.push(mask);
-            task_live_filter.push(filterable);
         }
+        let static_targets =
+            targets_of.iter().map(|t| t.as_ref().map_or(0, |t| t.len() as u32)).collect();
 
         prof.add_items(trace.num_insts() as u64);
-        ProgramImage {
+        let image = ProgramImage {
             program,
             partition,
             trace,
             tasks,
             table,
-            task_entry_pc,
-            task_pred_arm,
-            task_live_mask,
-            task_live_filter,
-        }
+            task_arm,
+            static_base,
+            static_entry_pc,
+            static_targets,
+            exit_live,
+        };
+        ms_prof::counter_add("sim.image_bytes", image.bytes() as u64);
+        image
     }
 
     /// The program the image was decoded from.
@@ -266,6 +290,24 @@ impl<'a> ProgramImage<'a> {
     /// The task partition the trace was split with.
     pub fn partition(&self) -> &'a TaskPartition {
         self.partition
+    }
+
+    /// Dense id of dynamic task `dt`'s static task.
+    fn static_id(&self, dt: &DynTask) -> usize {
+        self.static_base[dt.func.index()] as usize + dt.task.index()
+    }
+
+    /// Bytes of the image's own columns and tables (the trace it borrows
+    /// excluded), from their lengths.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.tasks.as_slice())
+            + self.table.bytes()
+            + size_of_val(self.task_arm.as_slice())
+            + size_of_val(self.static_base.as_slice())
+            + size_of_val(self.static_entry_pc.as_slice())
+            + size_of_val(self.static_targets.as_slice())
+            + size_of_val(self.exit_live.as_slice())
     }
 }
 
@@ -361,13 +403,96 @@ struct PuState {
     gshare: Gshare,
     /// Last-target indirect jump predictor (internal switches).
     indirect: FxMap<u64, u16>,
-    /// Outgoing ring slot usage, indexed by cycle — link bandwidth is a
-    /// property of the PU's ring port, shared by consecutive tasks it
-    /// runs, not per task. `u16` counts: the effective per-cycle
-    /// bandwidth is clamped to 65535, unreachable for any real ring.
-    ring_slots: Vec<u16>,
+    /// Outgoing ring port — link bandwidth is a property of the PU's
+    /// port, shared by consecutive tasks it runs, not per task.
+    ring: RingPort,
     /// Cycle the PU's current occupant retires.
     free: u64,
+}
+
+/// One PU's outgoing ring slot usage per cycle, over a window that
+/// starts at the PU's dispatch floor.
+///
+/// A task's values enter the ring no earlier than their producing
+/// instruction completes, which is after the task's dispatch, and the
+/// PU's later tasks dispatch later still. So once task k dispatches,
+/// no send of task k or of any later task on this PU is booked before
+/// that cycle, and the slots before it can be dropped: the window
+/// holds only the cycles still in flight, however long the run.
+#[derive(Debug, Default)]
+struct RingPort {
+    /// Cycle of `slots[0]`.
+    base: u64,
+    /// Values booked per cycle from `base` on; cycles past the end have
+    /// none. `u16` counts: the effective per-cycle bandwidth is clamped
+    /// to 65535, unreachable for any real ring.
+    slots: Vec<u16>,
+}
+
+impl RingPort {
+    /// Drops the cycles before `floor`, the dispatch cycle of the task
+    /// about to send (never below an earlier floor: a PU's dispatches
+    /// only move forward).
+    fn advance(&mut self, floor: u64) {
+        let n = (floor - self.base).min(self.slots.len() as u64);
+        self.slots.drain(..n as usize);
+        self.base = floor;
+    }
+
+    /// Books the first cycle at or after `ready` (never before the
+    /// window's floor) with a free slot out of `bw` per cycle.
+    fn book(&mut self, ready: u64, bw: u16) -> u64 {
+        let mut i = (ready - self.base) as usize;
+        loop {
+            if i >= self.slots.len() {
+                self.slots.resize(i + 64, 0);
+            }
+            if self.slots[i] < bw {
+                self.slots[i] += 1;
+                return self.base + i as u64;
+            }
+            i += 1;
+        }
+    }
+}
+
+/// Retire cycles of the most recent tasks.
+///
+/// Task k dispatches no earlier than the retire of task k−P (its PU's
+/// previous occupant, P = number of PUs), and retire cycles only
+/// increase. So from task k's point of view every task at or before
+/// k−P has retired: only the last P retire cycles are ever looked up,
+/// and older tasks answer "retired" without one.
+#[derive(Debug)]
+struct RetireWindow {
+    /// Task j's retire cycle sits in slot `j & (len − 1)`; the length is
+    /// the power of two at or above P.
+    cycles: Vec<u64>,
+    pus: usize,
+}
+
+impl RetireWindow {
+    fn new(pus: usize) -> Self {
+        RetireWindow { cycles: vec![0; pus.next_power_of_two()], pus }
+    }
+
+    /// Task `j`'s retire cycle; `j` is one of the last P tasks recorded.
+    #[inline]
+    fn get(&self, j: usize) -> u64 {
+        self.cycles[j & (self.cycles.len() - 1)]
+    }
+
+    fn record(&mut self, j: usize, cycle: u64) {
+        let mask = self.cycles.len() - 1;
+        self.cycles[j & mask] = cycle;
+    }
+
+    /// Whether task `j` retired by `cycle`, asked while task `k > j`
+    /// executes.
+    #[inline]
+    fn retired_by(&self, k: usize, j: usize, cycle: u64) -> bool {
+        k - j >= self.pus || self.get(j) <= cycle
+    }
 }
 
 /// Reusable buffers for [`Engine::exec_task`], allocated once per engine
@@ -407,10 +532,15 @@ pub(crate) struct Engine<'e> {
     task_pred: TaskPredictor,
     pus: Vec<PuState>,
     reg_src: Vec<Option<RegSrc>>,
+    /// The most recent store to each address, among the last P tasks
+    /// (older entries are pruned: like a missing entry, they read as
+    /// retired and send the load to the D-cache).
     last_store: FxMap<u64, StoreSrc>,
+    /// `last_store` size that triggers the next prune.
+    store_prune_at: usize,
     /// LRU list of synchronised load PCs.
     sync_table: Vec<u64>,
-    retire: Vec<u64>,
+    retire: RetireWindow,
     reg_forwards: u64,
     scratch: Scratch,
     // ---- run state, carried task to task by `step` ----
@@ -437,18 +567,15 @@ impl<'e> Engine<'e> {
                 .map(|_| PuState {
                     gshare: Gshare::new(cfg.gshare_history_bits, cfg.gshare_table_bits),
                     indirect: FxMap::default(),
-                    // Sized to a cycle horizon up front, so steady state
-                    // never pays the realloc-and-copy of growing it
-                    // cycle by cycle. `commit_regs` still grows it if a
-                    // run overshoots the estimate.
-                    ring_slots: vec![0; img.trace.num_insts() + 4096],
+                    ring: RingPort::default(),
                     free: 0,
                 })
                 .collect(),
             reg_src: vec![None; NUM_REGS],
             last_store: FxMap::default(),
+            store_prune_at: MIN_STORE_PRUNE,
             sync_table: Vec::with_capacity(cfg.sync_table_entries as usize),
-            retire: Vec::with_capacity(img.tasks.len()),
+            retire: RetireWindow::new(cfg.num_pus),
             reg_forwards: 0,
             scratch: Scratch { local_reg: vec![0; NUM_REGS], ..Scratch::default() },
             stats: SimStats {
@@ -467,11 +594,12 @@ impl<'e> Engine<'e> {
     /// Runs every dynamic task of the image, then does the final
     /// accounting.
     pub(crate) fn run_all<S: TraceSink>(mut self, sink: &mut S) -> SimStats {
-        for k in 0..self.img.tasks.len() {
+        let n = self.img.tasks.len();
+        for k in 0..n {
             self.step(k, sink);
         }
         let p = self.cfg.num_pus;
-        self.stats.total_cycles = self.retire.last().copied().unwrap_or(0);
+        self.stats.total_cycles = if n == 0 { 0 } else { self.retire.get(n - 1) };
         if sink.enabled() {
             // Drain: PUs whose last task retired before the run ended
             // (and PUs that never ran a task) idle to the final cycle.
@@ -502,7 +630,7 @@ impl<'e> Engine<'e> {
     /// squash re-attempts), retire, commit architectural effects,
     /// predict the exit.
     fn step<S: TraceSink>(&mut self, k: usize, sink: &mut S) {
-        let dt = self.img.tasks[k].clone();
+        let dt = self.img.tasks[k];
         let p = self.cfg.num_pus;
         let pu = k % p;
         let natural = self.pus[pu].free.max(self.prev_dispatch + 1);
@@ -531,7 +659,8 @@ impl<'e> Engine<'e> {
 
         // The sequencer reads the task descriptor; a task cache
         // miss delays dispatch by an L2 access.
-        let entry_pc = self.img.task_entry_pc[k];
+        let static_id = self.img.static_id(&dt);
+        let entry_pc = self.img.static_entry_pc[static_id];
         let desc_miss = !self.task_cache.access(entry_pc);
         if desc_miss {
             dispatch += self.cfg.l2.hit_latency as u64;
@@ -549,7 +678,7 @@ impl<'e> Engine<'e> {
         }
 
         // Execute, re-executing on memory dependence violations.
-        let head_free = if k == 0 { 0 } else { self.retire[k - 1] + 1 };
+        let head_free = if k == 0 { 0 } else { self.retire.get(k - 1) + 1 };
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -641,7 +770,7 @@ impl<'e> Engine<'e> {
                 attempts,
             });
         }
-        self.retire.push(retire);
+        self.retire.record(k, retire);
         self.pus[pu].free = retire;
         #[cfg(feature = "trace-debug")]
         if k < 64 {
@@ -655,26 +784,36 @@ impl<'e> Engine<'e> {
         // scheduling, filtered by dead register analysis) and the
         // store map. The liveness filter is one SWAR mask intersection
         // against the attempt's write mask.
-        let filter = self.cfg.dead_reg_analysis && self.img.task_live_filter[k];
-        let mask = if filter {
-            attempt.write_mask & self.img.task_live_mask[k]
+        let exit_block = self.img.table.step_block[dt.end as usize - 1] as usize;
+        let (live_mask, filterable) =
+            self.img.exit_live[exit_block].expect("the image covers every task's exit block");
+        let mask = if self.cfg.dead_reg_analysis && filterable {
+            attempt.write_mask & live_mask
         } else {
             attempt.write_mask
         };
-        self.commit_regs(k, pu, &attempt, mask, sink);
+        self.commit_regs(k, pu, dispatch, &attempt, mask, sink);
         for &(addr, complete, pc) in &attempt.stores {
             self.last_store.insert(addr, StoreSrc { task: k, complete, pc });
+        }
+        if self.last_store.len() >= self.store_prune_at {
+            // Stores of tasks at or before k+1−P read as retired from
+            // task k+1 on, exactly like a missing entry.
+            let p = self.cfg.num_pus;
+            self.last_store.retain(|_, s| k + 1 - s.task < p);
+            self.store_prune_at = (2 * self.last_store.len()).max(MIN_STORE_PRUNE);
         }
 
         // Inter-task prediction for this task's exit (consulted when
         // the successor was speculatively dispatched).
         self.prev_mispredicted = false;
-        let (actual_idx, n_targets) = self.img.task_pred_arm[k];
-        if n_targets != 0 {
-            let correct = if actual_idx != u32::MAX {
-                self.task_pred.predict_and_update(entry_pc, actual_idx as usize, n_targets as usize)
+        let arm = self.img.task_arm[k];
+        if arm != ARM_END {
+            let n_targets = self.img.static_targets[static_id] as usize;
+            let correct = if arm != ARM_MISS {
+                self.task_pred.predict_and_update(entry_pc, arm as usize, n_targets)
             } else {
-                self.task_pred.predict_and_update(entry_pc, 0, n_targets as usize);
+                self.task_pred.predict_and_update(entry_pc, 0, n_targets.max(2));
                 false
             };
             self.stats.task_preds += 1;
@@ -723,11 +862,14 @@ impl<'e> Engine<'e> {
     /// (the compiler of \[3\]/\[18\]), only registers live out of the task's
     /// exit block travel; dead values stay put, saving ring bandwidth
     /// (`mask` is the attempt's write mask, already intersected with
-    /// the exit's live-out mask when the filter applies).
+    /// the exit's live-out mask when the filter applies). `dispatch` is
+    /// the task's final dispatch cycle, the floor of its PU's ring
+    /// window.
     fn commit_regs<S: TraceSink>(
         &mut self,
         k: usize,
         pu: usize,
+        dispatch: u64,
         a: &Attempt,
         mask: u64,
         sink: &mut S,
@@ -738,23 +880,10 @@ impl<'e> Engine<'e> {
         self.reg_forwards += outs.len() as u64;
         outs.sort_by_key(|&(r, c)| (c, r));
         let bw = self.cfg.ring_bandwidth.max(1).min(u32::from(u16::MAX)) as u16;
-        let slots = &mut self.pus[pu].ring_slots;
+        let ring = &mut self.pus[pu].ring;
+        ring.advance(dispatch);
         for &(r, ready) in &outs {
-            let mut cycle = ready as usize;
-            loop {
-                if cycle >= slots.len() {
-                    // Grow geometrically so steady state stops
-                    // reallocating once the run's horizon is covered.
-                    let len = (cycle + 64).max(slots.len() * 2);
-                    slots.resize(len, 0);
-                }
-                if slots[cycle] < bw {
-                    slots[cycle] += 1;
-                    break;
-                }
-                cycle += 1;
-            }
-            let cycle = cycle as u64;
+            let cycle = ring.book(ready, bw);
             if sink.enabled() {
                 sink.event(&SimEvent::FwdSend { task: k, pu, reg: r, ready, sent: cycle });
             }
@@ -845,9 +974,11 @@ impl<'e> Engine<'e> {
         let mut pmax_last = 0u64;
         let mut i_row = 0usize;
 
-        for step_idx in dt.start..dt.end {
+        let end = dt.end as usize;
+        for step_idx in dt.steps() {
             let step = &steps[step_idx];
-            let is_last_step = step_idx + 1 == dt.end;
+            let mem_addrs = img.trace.mem_addrs(step_idx);
+            let is_last_step = step_idx + 1 == end;
             let b = t.step_block[step_idx] as usize;
             let row0 = t.block_off[b] as usize;
             let rows = t.block_len[b] as usize;
@@ -896,8 +1027,7 @@ impl<'e> Engine<'e> {
                     if write_mask & (1 << d) != 0 {
                         intra_ready = intra_ready.max(local_reg[d]);
                     } else if let Some(rs) = reg_src[d] {
-                        let retired = retire.get(rs.task).map(|&r| r <= dispatch).unwrap_or(true);
-                        if !retired {
+                        if !retire.retired_by(k, rs.task, dispatch) {
                             let m = (k - rs.task) as u64; // 1..P-1 in flight
                             let hops = m.min(p as u64);
                             let arrival = rs.send + (hops - 1) * cfg.ring_hop_latency as u64;
@@ -972,7 +1102,7 @@ impl<'e> Engine<'e> {
                     // operand waits of consumers.
                 } else if flags & F_CT == 0 {
                     if flags & F_LOAD != 0 {
-                        let addr = step.mem_addrs[mem_col[i] as usize];
+                        let addr = mem_addrs[mem_col[i] as usize];
                         // ARB capacity.
                         let line = addr >> l1d_shift;
                         mem_lines.insert(line);
@@ -994,8 +1124,7 @@ impl<'e> Engine<'e> {
                             c += wait;
                             lat = 1;
                         } else if let Some(ss) = last_store.get(&addr).copied() {
-                            let retired = retire.get(ss.task).map(|&r| r <= c).unwrap_or(true);
-                            if retired {
+                            if retire.retired_by(k, ss.task, c) {
                                 lat = dcache.access(addr) as u64;
                             } else if sync_table.contains(&pc) || force_sync {
                                 // Synchronised: wait for the store.
@@ -1026,7 +1155,7 @@ impl<'e> Engine<'e> {
                         w_mem_acc += lat - 1;
                         complete = c + lat;
                     } else {
-                        let addr = step.mem_addrs[mem_col[i] as usize];
+                        let addr = mem_addrs[mem_col[i] as usize];
                         let line = addr >> l1d_shift;
                         mem_lines.insert(line);
                         if mem_lines.len() > cfg.arb_entries_per_pu as usize && c < head_free {

@@ -15,8 +15,6 @@
 //! tie-breaks on — so timing statistics are bit-identical to the
 //! chased path.
 
-use std::collections::HashMap;
-
 use ms_ir::{BlockRef, FuClass, Opcode, Program};
 use ms_trace::Trace;
 
@@ -45,8 +43,8 @@ pub(crate) struct DynInstTable {
     pub lat: Vec<u8>,
     /// Dense destination register per row ([`NO_DST`] = none).
     pub dst: Vec<u8>,
-    /// Index into the step's `mem_addrs` per row ([`NO_MEM`] = not a
-    /// memory access) — addresses themselves are dynamic, per step.
+    /// Index into the step's [`Trace::mem_addrs`] per row ([`NO_MEM`] =
+    /// not a memory access) — addresses themselves are dynamic, per step.
     pub mem: Vec<u16>,
     /// Source-operand range per row: `srcs[src_off[r] ..
     /// src_off[r] + src_len[r]]`, in original program order.
@@ -63,16 +61,40 @@ pub(crate) struct DynInstTable {
 }
 
 impl DynInstTable {
-    /// Decodes every distinct block `trace` executes.
+    /// Decodes every distinct block `trace` executes, in first-seen
+    /// order.
     pub fn build(program: &Program, trace: &Trace) -> Self {
         let mut t = DynInstTable::default();
-        let mut index: HashMap<BlockRef, u32> = HashMap::new();
-        t.step_block.reserve(trace.steps().len());
+        // (func, block) → decoded block index, dense over the program's
+        // blocks: one array load per step instead of a hash lookup.
+        let base = dense_bases(program.func_ids().map(|f| program.function(f).num_blocks()));
+        let mut index = vec![u32::MAX; *base.last().unwrap_or(&0) as usize];
+        t.step_block.reserve_exact(trace.steps().len());
         for step in trace.steps() {
-            let b = *index.entry(step.block).or_insert_with(|| t.decode_block(program, step.block));
-            t.step_block.push(b);
+            let slot =
+                &mut index[base[step.block.func.index()] as usize + step.block.block.index()];
+            if *slot == u32::MAX {
+                *slot = t.decode_block(program, step.block);
+            }
+            t.step_block.push(*slot);
         }
         t
+    }
+
+    /// Bytes of the table's columns, from their lengths.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.flags.as_slice())
+            + size_of_val(self.lat.as_slice())
+            + size_of_val(self.dst.as_slice())
+            + size_of_val(self.mem.as_slice())
+            + size_of_val(self.src_off.as_slice())
+            + size_of_val(self.src_len.as_slice())
+            + size_of_val(self.srcs.as_slice())
+            + size_of_val(self.block_off.as_slice())
+            + size_of_val(self.block_len.as_slice())
+            + size_of_val(self.block_pc0.as_slice())
+            + size_of_val(self.step_block.as_slice())
     }
 
     /// Decodes one block into the arrays, returning its block index.
@@ -140,6 +162,17 @@ impl DynInstTable {
     }
 }
 
+/// Prefix sums of `counts`: a dense id `bases[outer] + inner` for every
+/// (outer, inner < counts[outer]) pair, with the total last.
+pub(crate) fn dense_bases(counts: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut bases = vec![0u32];
+    for n in counts {
+        let next = *bases.last().expect("starts at 0") as usize + n;
+        bases.push(u32::try_from(next).expect("dense ids fit in u32"));
+    }
+    bases
+}
+
 fn class_bits(class: FuClass) -> u8 {
     match class {
         FuClass::Int => 0,
@@ -172,12 +205,15 @@ mod tests {
         let trace = TraceGenerator::new(&program, 3).generate(5_000);
         let table = DynInstTable::build(&program, &trace);
         assert_eq!(table.step_block.len(), trace.steps().len());
-        for (si, step) in trace.steps().iter().enumerate() {
+        for si in 0..trace.steps().len() {
             let b = table.step_block[si] as usize;
             let off = table.block_off[b] as usize;
             let len = table.block_len[b] as usize;
             let refs: Vec<_> = trace.inst_refs(si, &program).collect();
             assert_eq!(len, refs.len(), "row count of step {si}");
+            // Each memory row owns one address of the step's slice.
+            let mem_rows = table.mem[off..off + len].iter().filter(|&&m| m != NO_MEM).count();
+            assert_eq!(mem_rows, trace.mem_addrs(si).len(), "address count of step {si}");
             for (i, di) in refs.iter().enumerate() {
                 let r = off + i;
                 assert_eq!(table.block_pc0[b] + 4 * i as u64, di.pc);
@@ -189,7 +225,7 @@ mod tests {
                         assert_eq!(f & F_STORE != 0, op.is_store());
                         assert_eq!(u64::from(table.lat[r]), u64::from(op.latency()));
                         let addr = (table.mem[r] != NO_MEM)
-                            .then(|| step.mem_addrs.get(table.mem[r] as usize).copied())
+                            .then(|| trace.mem_addrs(si).get(table.mem[r] as usize).copied())
                             .flatten();
                         assert_eq!(addr, di.addr);
                     }

@@ -77,6 +77,30 @@ fn batch_hot_loop_is_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn engine_memory_does_not_scale_with_trace_length() {
+    // Engine state is sized by the machine, not the trace: the ring
+    // ports keep a window of in-flight cycles, retire cycles the last P
+    // tasks, the store map the stores of the last P tasks. So 4x the
+    // instructions may add only what the lazily filled L2 model's newly
+    // touched sets (bounded by the L2's size) and a few scratch high
+    // water marks cost — a few kilobytes (about 6 KB here), never bytes
+    // per instruction or per task (a cycle-indexed ring alone costs 2
+    // bytes per instruction per PU, 240 KB here).
+    let _gate = gate();
+    let sel = selection();
+    let _ = run_allocs(&sel, 2_000, 1);
+    let (_, small_bytes, small_insts) = run_allocs(&sel, 10_000, 1);
+    let (_, large_bytes, large_insts) = run_allocs(&sel, 40_000, 1);
+    assert!(large_insts > small_insts * 3, "trace lengths diverged");
+    let delta_bytes = large_bytes.saturating_sub(small_bytes);
+    assert!(
+        delta_bytes <= 16 * 1024,
+        "engine state grows with the trace: {small_bytes} bytes at {small_insts} insts -> \
+         {large_bytes} bytes at {large_insts} insts"
+    );
+}
+
+#[test]
 fn batch_run_allocations_are_deterministic() {
     // Two identical runs must allocate identically — the hot loop has
     // no load-dependent allocation path (hash-map growth, overflow

@@ -6,8 +6,9 @@
 //! instruction and task; the std default SipHash costs more than the
 //! rest of the lookup for these tiny keys. This is the classic
 //! multiply-xor "Fx" construction (as used by rustc) — std-only and
-//! deterministic. Every `FxMap` in the workspace is lookup-only (no
-//! map is iterated), so the hasher cannot perturb the generated trace
+//! deterministic. No `FxMap` in the workspace lets its iteration order
+//! reach an output (maps are looked up, or pruned by a predicate on
+//! each entry alone), so the hasher cannot perturb the generated trace
 //! or the timing statistics.
 
 use std::collections::HashMap;

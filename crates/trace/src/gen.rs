@@ -70,20 +70,23 @@ impl<'p> TraceGenerator<'p> {
     fn run(&self, max_insts: usize, restart: bool) -> Trace {
         let prof = ms_prof::span("trace.generate");
         let mut walker = Walker::new(self.program, self.seed);
-        // Steps average several instructions each; reserving a quarter
-        // of the budget leaves at most a doubling or two of headroom.
-        let mut steps: Vec<TraceStep> = Vec::with_capacity(max_insts / 4);
+        // Steps average several instructions each, and fewer than one
+        // memory access per instruction: reserving a quarter of the
+        // budget for each column leaves at most a doubling or two of
+        // headroom (untouched capacity costs no resident memory).
+        let mut trace = Trace::with_capacity(max_insts / 4, max_insts / 4);
         let mut insts = 0usize;
         while insts < max_insts {
-            match walker.step() {
+            match walker.step(trace.addr_buf()) {
                 Some(step) => {
-                    insts += step.num_insts(self.program);
-                    steps.push(step);
+                    let n = step.num_insts(self.program);
+                    insts += n;
+                    trace.close_step(step, n);
                 }
                 None => {
                     // Program halted. Restart while budget remains; bail
                     // if the program emits nothing (avoid spinning).
-                    if !restart || steps.is_empty() || insts == 0 {
+                    if !restart || trace.is_empty() || insts == 0 {
                         break;
                     }
                     walker.restart();
@@ -92,7 +95,8 @@ impl<'p> TraceGenerator<'p> {
         }
         prof.add_items(insts as u64);
         ms_prof::counter_add("trace.dyn_insts", insts as u64);
-        Trace::new(steps, self.program)
+        ms_prof::counter_add("trace.bytes", trace.bytes() as u64);
+        trace
     }
 }
 
@@ -142,19 +146,18 @@ impl<'p> Walker<'p> {
         self.loop_state.clear();
     }
 
-    /// Executes the current block, returning its step and advancing.
-    /// Returns `None` when the program has halted.
-    fn step(&mut self) -> Option<TraceStep> {
+    /// Executes the current block, appending the addresses its memory
+    /// instructions touch to `addrs` and returning its step. Returns
+    /// `None` when the program has halted.
+    fn step(&mut self, addrs: &mut Vec<u64>) -> Option<TraceStep> {
         let at = self.cur?;
         let func = self.program.function(at.func);
         let blk = func.block(at.block);
         let depth = self.stack.len() as u32;
 
-        // Count first so the vector allocates exactly once — this runs
-        // per step, and `filter_map` hides the size from `collect`.
-        let n_mem = blk.insts().iter().filter(|i| i.mem_ref().is_some()).count();
-        let mut mem_addrs: Vec<u64> = Vec::with_capacity(n_mem);
-        mem_addrs.extend(blk.insts().iter().filter_map(|i| i.mem_ref()).map(|g| self.next_addr(g)));
+        for g in blk.insts().iter().filter_map(|i| i.mem_ref()) {
+            addrs.push(self.next_addr(g));
+        }
 
         let (outcome, next) = match blk.terminator() {
             Terminator::Jump { target } => (CtOutcome::Jump, Some(BlockRef::new(at.func, *target))),
@@ -185,7 +188,7 @@ impl<'p> Walker<'p> {
             Terminator::Halt => (CtOutcome::Halt, None),
         };
         self.cur = next;
-        Some(TraceStep { block: at, mem_addrs, outcome, depth })
+        Some(TraceStep { block: at, outcome, depth })
     }
 
     fn sample_branch(&mut self, at: BlockRef, behavior: &BranchBehavior) -> bool {
@@ -372,11 +375,10 @@ mod tests {
         pb.define_function(m, fb.finish(entry).unwrap());
         let p = pb.finish(m).unwrap();
         let t = TraceGenerator::new(&p, 5).generate_once(100);
-        let addrs: Vec<u64> = t
-            .steps()
-            .iter()
-            .filter(|s| !s.mem_addrs.is_empty())
-            .map(|s| s.mem_addrs[0])
+        let addrs: Vec<u64> = (0..t.steps().len())
+            .map(|i| t.mem_addrs(i))
+            .filter(|a| !a.is_empty())
+            .map(|a| a[0])
             .take(6)
             .collect();
         assert_eq!(addrs, vec![0x1000, 0x1008, 0x1010, 0x1018, 0x1000, 0x1008]);
@@ -404,9 +406,11 @@ mod tests {
         pb.define_function(leaf, fb.finish(l0).unwrap());
         let p = pb.finish(m).unwrap();
         let t = TraceGenerator::new(&p, 7).generate_once(20);
-        let main_addr = t.steps()[0].mem_addrs[0];
-        let leaf_addrs: Vec<u64> =
-            t.steps().iter().filter(|s| s.block.func == leaf).map(|s| s.mem_addrs[0]).collect();
+        let main_addr = t.mem_addrs(0)[0];
+        let leaf_addrs: Vec<u64> = (0..t.steps().len())
+            .filter(|&i| t.steps()[i].block.func == leaf)
+            .map(|i| t.mem_addrs(i)[0])
+            .collect();
         assert_eq!(leaf_addrs.len(), 2);
         // Same depth → the two sibling activations reuse the frame.
         assert_eq!(leaf_addrs[0], leaf_addrs[1]);

@@ -14,6 +14,8 @@
 //!   the matching return ends *its* task and the caller's return-block
 //!   task follows.
 
+use std::ops::Range;
+
 use ms_ir::{BlockRef, FuncId, Program, Terminator};
 use ms_tasksel::{TaskId, TaskPartition, TaskTarget};
 
@@ -30,29 +32,38 @@ pub enum DynExit {
 }
 
 /// One dynamic task: a contiguous run of trace steps.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A packed 24-byte record — one exists per dynamic task, so its size
+/// scales every long run's memory. Step bounds are `u32` (a trace holds
+/// fewer than 2^32 steps); [`DynTask::steps`] widens them for indexing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynTask {
     /// Function owning the static task.
     pub func: FuncId,
     /// The static task this invocation instantiates.
     pub task: TaskId,
     /// Step range `[start, end)` into the trace.
-    pub start: usize,
+    pub start: u32,
     /// End of the step range (exclusive).
-    pub end: usize,
+    pub end: u32,
     /// How the task exited.
     pub exit: DynExit,
 }
 
 impl DynTask {
+    /// The task's step range into the trace.
+    pub fn steps(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
     /// Number of trace steps in the task.
     pub fn num_steps(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Number of dynamic instructions in the task.
     pub fn num_insts(&self, trace: &Trace, program: &Program) -> usize {
-        trace.steps()[self.start..self.end].iter().map(|s| s.num_insts(program)).sum()
+        trace.steps()[self.steps()].iter().map(|s| s.num_insts(program)).sum()
     }
 }
 
@@ -66,10 +77,14 @@ pub fn split_tasks(trace: &Trace, program: &Program, partition: &TaskPartition) 
     let prof = ms_prof::span("trace.split");
     let steps = trace.steps();
     prof.add_items(steps.len() as u64);
-    let mut out: Vec<DynTask> = Vec::new();
+    // A task spans at least one step: reserving the step count never
+    // reallocates, and capacity a coarse partition leaves untouched
+    // costs no resident memory.
+    let mut out: Vec<DynTask> = Vec::with_capacity(steps.len());
     if steps.is_empty() {
         return out;
     }
+    assert!(u32::try_from(steps.len()).is_ok(), "trace holds more than 2^32 steps");
 
     // State: the static task of the current dynamic task, and the call
     // depth below which we are "inlined" (included call). While
@@ -86,7 +101,7 @@ pub fn split_tasks(trace: &Trace, program: &Program, partition: &TaskPartition) 
                  at: BlockRef,
                  task: TaskId,
                  exit: DynExit| {
-        out.push(DynTask { func: at.func, task, start, end, exit });
+        out.push(DynTask { func: at.func, task, start: start as u32, end: end as u32, exit });
     };
 
     for i in 0..steps.len() {
@@ -243,6 +258,11 @@ mod tests {
     }
 
     #[test]
+    fn dyn_task_is_packed() {
+        assert!(std::mem::size_of::<DynTask>() <= 24);
+    }
+
+    #[test]
     fn dynamic_tasks_tile_the_trace_exactly() {
         let p = loop_program(8);
         for sel in [
@@ -262,9 +282,9 @@ mod tests {
             let tasks = split_tasks(&trace, &sel.program, &sel.partition);
             let mut pos = 0usize;
             for t in &tasks {
-                assert_eq!(t.start, pos, "tasks must tile contiguously");
+                assert_eq!(t.start as usize, pos, "tasks must tile contiguously");
                 assert!(t.end > t.start);
-                pos = t.end;
+                pos = t.end as usize;
             }
             assert_eq!(pos, trace.steps().len());
         }
@@ -281,7 +301,7 @@ mod tests {
         let tasks = split_tasks(&trace, &sel.program, &sel.partition);
         for t in &tasks {
             let entry = sel.partition.func(t.func).task(t.task).entry();
-            assert_eq!(trace.steps()[t.start].block.block, entry);
+            assert_eq!(trace.steps()[t.start as usize].block.block, entry);
         }
     }
 

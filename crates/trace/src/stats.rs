@@ -79,7 +79,7 @@ impl DynTaskStats {
         let mut total_insts = 0usize;
         let mut total_ct = 0usize;
         for t in tasks {
-            for s in &trace.steps()[t.start..t.end] {
+            for s in &trace.steps()[t.steps()] {
                 total_insts += s.num_insts(program);
                 let blk = program.function(s.block.func).block(s.block.block);
                 total_ct += usize::from(blk.terminator().emits_ct_inst());

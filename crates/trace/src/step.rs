@@ -23,16 +23,14 @@ pub enum CtOutcome {
     Halt,
 }
 
-/// One dynamic basic-block execution: the block, the concrete addresses
-/// its memory instructions touched (in order), and its control transfer
-/// outcome.
-#[derive(Debug, Clone, PartialEq)]
+/// One dynamic basic-block execution: the block and its control
+/// transfer outcome. The concrete addresses its memory instructions
+/// touched live in the owning [`Trace`] ([`Trace::mem_addrs`]), so a
+/// step is a plain 16-byte record with no heap data of its own.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStep {
     /// The executed block.
     pub block: BlockRef,
-    /// One byte address per memory instruction of the block, in program
-    /// order.
-    pub mem_addrs: Vec<u64>,
     /// How the block's terminator resolved.
     pub outcome: CtOutcome,
     /// Call nesting depth at which the block ran (0 = program entry
@@ -118,24 +116,86 @@ impl DynInstRef<'_> {
 /// A correct-path dynamic instruction stream, stored as a sequence of
 /// block executions.
 ///
+/// Everything that grows with the trace is a flat column: the steps
+/// themselves, and one shared buffer holding every memory address in
+/// step order, with a `u32` offset per step marking where each step's
+/// addresses begin. Building a trace therefore allocates per column
+/// (amortised growth), never per step.
+///
 /// Produced by [`TraceGenerator`](crate::TraceGenerator); consumed by the
 /// dynamic-task splitter and the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     steps: Vec<TraceStep>,
+    /// Step `i`'s addresses are `addrs[addr_off[i]..addr_off[i + 1]]`;
+    /// one entry more than there are steps, starting at 0.
+    addr_off: Vec<u32>,
+    addrs: Vec<u64>,
     num_insts: usize,
 }
 
+impl Default for Trace {
+    fn default() -> Self {
+        Trace::new()
+    }
+}
+
 impl Trace {
-    /// Wraps a step sequence, counting instructions against `program`.
-    pub fn new(steps: Vec<TraceStep>, program: &Program) -> Self {
-        let num_insts = steps.iter().map(|s| s.num_insts(program)).sum();
-        Trace { steps, num_insts }
+    /// An empty trace, to be filled with [`Trace::push`].
+    pub fn new() -> Self {
+        Trace { steps: Vec::new(), addr_off: vec![0], addrs: Vec::new(), num_insts: 0 }
+    }
+
+    /// An empty trace with room for `steps` steps and `addrs` memory
+    /// addresses before any column reallocates.
+    pub(crate) fn with_capacity(steps: usize, addrs: usize) -> Self {
+        let mut addr_off = Vec::with_capacity(steps + 1);
+        addr_off.push(0);
+        Trace {
+            steps: Vec::with_capacity(steps),
+            addr_off,
+            addrs: Vec::with_capacity(addrs),
+            num_insts: 0,
+        }
+    }
+
+    /// Appends one step whose memory instructions touched `mem_addrs`
+    /// (one byte address per memory instruction of the block, in
+    /// program order), counting its instructions against `program`.
+    pub fn push(&mut self, step: TraceStep, mem_addrs: &[u64], program: &Program) {
+        self.addrs.extend_from_slice(mem_addrs);
+        self.close_step(step, step.num_insts(program));
+    }
+
+    /// The shared address buffer: the trace walker appends a step's
+    /// addresses here, then seals them with [`Trace::close_step`].
+    pub(crate) fn addr_buf(&mut self) -> &mut Vec<u64> {
+        &mut self.addrs
+    }
+
+    /// Appends `step`, which owns every address pushed to the buffer
+    /// since the previous step, and contributes `insts` instructions.
+    pub(crate) fn close_step(&mut self, step: TraceStep, insts: usize) {
+        let end = u32::try_from(self.addrs.len()).expect("trace holds more than 2^32 addresses");
+        self.addr_off.push(end);
+        self.steps.push(step);
+        self.num_insts += insts;
     }
 
     /// The block-execution steps.
     pub fn steps(&self) -> &[TraceStep] {
         &self.steps
+    }
+
+    /// The byte addresses step `idx`'s memory instructions touched, one
+    /// per memory instruction of its block, in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[inline]
+    pub fn mem_addrs(&self, idx: usize) -> &[u64] {
+        &self.addrs[self.addr_off[idx] as usize..self.addr_off[idx + 1] as usize]
     }
 
     /// Total dynamic instructions (control transfers included).
@@ -146,6 +206,14 @@ impl Trace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
+    }
+
+    /// Bytes of the trace's columns (steps, address offsets, addresses),
+    /// from their lengths — deterministic, unlike allocator statistics.
+    pub(crate) fn bytes(&self) -> usize {
+        self.steps.len() * std::mem::size_of::<TraceStep>()
+            + self.addr_off.len() * std::mem::size_of::<u32>()
+            + self.addrs.len() * std::mem::size_of::<u64>()
     }
 
     /// Materialises the dynamic instructions of step `idx`.
@@ -179,12 +247,13 @@ impl Trace {
         program: &'p Program,
     ) -> impl Iterator<Item = DynInstRef<'p>> {
         let step = &self.steps[idx];
+        let mem_addrs = self.mem_addrs(idx);
         let blk = program.function(step.block.func).block(step.block.block);
         let pc0 = program.block_pc(step.block);
         let mut mem_i = 0usize;
         let ops = blk.insts().iter().enumerate().map(move |(i, inst)| {
             let addr = if inst.opcode().is_mem() {
-                let a = step.mem_addrs.get(mem_i).copied();
+                let a = mem_addrs.get(mem_i).copied();
                 mem_i += 1;
                 a
             } else {
@@ -241,12 +310,15 @@ mod tests {
         let p = program_with_mem();
         let step = TraceStep {
             block: BlockRef::new(FuncId::new(0), BlockId::new(0)),
-            mem_addrs: vec![0x100, 0x108],
             outcome: CtOutcome::Return,
             depth: 0,
         };
-        let trace = Trace::new(vec![step], &p);
-        assert_eq!(trace.num_insts(), 4); // 3 ops + return
+        let mut trace = Trace::new();
+        trace.push(step, &[0x100, 0x108], &p);
+        trace.push(step, &[0x200, 0x208], &p);
+        assert_eq!(trace.num_insts(), 8); // 2 x (3 ops + return)
+        assert_eq!(trace.mem_addrs(0), &[0x100, 0x108]);
+        assert_eq!(trace.mem_addrs(1), &[0x200, 0x208]);
         let insts = trace.insts_of_step(0, &p);
         assert_eq!(insts.len(), 4);
         assert_eq!(insts[0].addr, None);
@@ -257,6 +329,18 @@ mod tests {
         assert!(insts[3].is_ct());
         // PCs advance by 4.
         assert_eq!(insts[3].pc, insts[0].pc + 12);
+        // The second step reads its own slice of the shared buffer.
+        let second = trace.insts_of_step(1, &p);
+        assert_eq!(second[1].addr, Some(0x200));
+        assert_eq!(second[2].addr, Some(0x208));
+    }
+
+    #[test]
+    fn steps_are_plain_records() {
+        assert_eq!(std::mem::size_of::<TraceStep>(), 16);
+        let t = Trace::default();
+        assert!(t.is_empty());
+        assert_eq!(t.bytes(), std::mem::size_of::<u32>());
     }
 
     #[test]
@@ -264,7 +348,6 @@ mod tests {
         let p = program_with_mem();
         let step = TraceStep {
             block: BlockRef::new(FuncId::new(0), BlockId::new(0)),
-            mem_addrs: vec![],
             outcome: CtOutcome::Return,
             depth: 0,
         };

@@ -112,11 +112,11 @@ fn dynamic_tasks_tile_and_start_at_entries() {
             let tasks = split_tasks(&trace, &sel.program, &sel.partition);
             let mut pos = 0usize;
             for t in &tasks {
-                assert_eq!(t.start, pos, "case {case}");
+                assert_eq!(t.start as usize, pos, "case {case}");
                 assert!(t.end > t.start, "case {case}");
-                pos = t.end;
+                pos = t.end as usize;
                 let entry = sel.partition.func(t.func).task(t.task).entry();
-                assert_eq!(trace.steps()[t.start].block.block, entry, "case {case}");
+                assert_eq!(trace.steps()[t.start as usize].block.block, entry, "case {case}");
             }
             assert_eq!(pos, trace.steps().len(), "case {case}");
         }

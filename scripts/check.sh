@@ -48,7 +48,12 @@
 #    identical submissions, serve the second one entirely from the
 #    content-addressed cell cache (zero cells simulated), produce
 #    artifacts byte-identical to the one-shot CLI path, and shut down
-#    cleanly within the timeout budget (docs/SERVICE.md).
+#    cleanly within the timeout budget (docs/SERVICE.md),
+# 12. long-run guard: the 2M-instruction `li` basic-block cell must
+#    print exactly the statistics line in
+#    crates/bench/tests/golden/li-bb-2m-seed1.json. The unit suites run
+#    short traces; this is the one check whose trace outgrows every
+#    bounded engine window and store-map prune many times over.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -255,5 +260,10 @@ if kill -0 "$serve_pid" 2>/dev/null; then
     exit 1
 fi
 wait "$serve_pid" || { echo "serve daemon exited non-zero"; exit 1; }
+
+echo "==> long-run guard (run li --strategy bb --insts 2000000, golden line)"
+"$run_bin" li --strategy bb --insts 2000000 --seed 1 --json \
+    | cmp - crates/bench/tests/golden/li-bb-2m-seed1.json \
+    || { echo "the 2M-instruction li/bb statistics differ from the golden line"; exit 1; }
 
 echo "All checks passed."
